@@ -8,6 +8,21 @@
 
 namespace fpc {
 
+namespace {
+
+/** Blocked seconds of the build running on this thread (null
+ * outside a builder). */
+thread_local double *t_buildWait = nullptr;
+
+} // namespace
+
+void
+TraceCache::noteBuildWait(double seconds)
+{
+    if (t_buildWait != nullptr)
+        *t_buildWait += seconds;
+}
+
 TraceCache::TraceCache(std::uint64_t budget_bytes)
     : budget_(budget_bytes)
 {
@@ -90,20 +105,26 @@ TraceCache::acquire(const std::string &key,
     lock.unlock();
 
     EntryPtr entry;
+    double waited = 0.0;
+    double *const outer_wait = t_buildWait;
+    t_buildWait = &waited;
     const auto t0 = std::chrono::steady_clock::now();
     try {
         entry = build(units);
     } catch (...) {
+        t_buildWait = outer_wait;
         lock.lock();
         ++stats_.buildFailures;
         slots_.erase(key);
         cv_.notify_all();
         throw;
     }
+    t_buildWait = outer_wait;
     const double seconds =
         std::chrono::duration<double>(
             std::chrono::steady_clock::now() - t0)
-            .count();
+            .count() -
+        waited;
     if (!entry) {
         lock.lock();
         slots_.erase(key);
@@ -116,6 +137,10 @@ TraceCache::acquire(const std::string &key,
 
     lock.lock();
     stats_.buildSeconds += seconds;
+    stats_.buildSecondsByKind[key.substr(0, key.find('/'))] +=
+        seconds;
+    if (waited > 0.0)
+        ++stats_.waits;
     auto mine = slots_.find(key); // rehash-safe re-lookup
     mine->second.entry = entry;
     mine->second.units = units;

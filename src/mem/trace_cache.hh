@@ -26,6 +26,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -62,7 +63,8 @@ struct TraceCacheStats
     /** Entries released right after their last planned use. */
     std::uint64_t released = 0;
 
-    /** acquire() calls that blocked on another thread's build. */
+    /** acquire() calls (or builds, see noteBuildWait) that
+     * blocked on another thread's build. */
     std::uint64_t waits = 0;
 
     /** Highest simultaneous resident byte total observed. */
@@ -76,8 +78,15 @@ struct TraceCacheStats
      */
     std::uint64_t buildFailures = 0;
 
-    /** Wall-clock seconds spent inside builders. */
+    /** Wall-clock seconds spent inside builders, less the time
+     * they reported blocked (noteBuildWait). */
     double buildSeconds = 0.0;
+
+    /**
+     * buildSeconds split by key prefix (the key up to its first
+     * '/': "trace", "warmup", "sample"); sums to buildSeconds.
+     */
+    std::map<std::string, double> buildSecondsByKind;
 };
 
 /** Keyed, byte-budgeted, build-once artifact cache. */
@@ -139,6 +148,15 @@ class TraceCache
     EntryPtr acquire(const std::string &key,
                      std::uint64_t min_units,
                      const Builder &build);
+
+    /**
+     * Called from inside a builder that blocked on work another
+     * thread's builder was doing for it (e.g. a shared pass both
+     * cut from): the @p seconds are taken off this build's
+     * buildSeconds and the build counts as a wait, so each second
+     * of work is counted once. No-op outside a builder.
+     */
+    static void noteBuildWait(double seconds);
 
     /** Resident bytes right now. */
     std::uint64_t currentBytes() const;

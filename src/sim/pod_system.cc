@@ -329,36 +329,96 @@ PodSystem::runWarmup(std::uint64_t warmup_refs)
     offchip_.resetTiming();
 }
 
-std::shared_ptr<const WarmupArtifact>
-PodSystem::buildWarmupArtifact(const MaterializedTrace &trace,
-                               const CacheHierarchy::Config &hier_cfg,
-                               std::uint64_t warm_records)
+HierarchyPass::HierarchyPass(const CacheHierarchy::Config &cfg)
+    : cfg_(cfg), start_(0), pos_(0)
 {
-    FPC_ASSERT(trace.size() >= warm_records);
-    auto art = std::make_shared<WarmupArtifact>();
-    CacheHierarchy hierarchy(hier_cfg);
-    const unsigned cores = hier_cfg.numCores;
+}
 
-    // Bit-compatible with runWarmup's functional path: the same
-    // round-robin burst dispatch, and ops appended in enqueue
-    // order — which is exactly the order the deferred FIFO hands
-    // them to the memory system (FIFOs preserve order, and in
-    // functional mode the cycle argument is always 0, so *when*
-    // an op drains is irrelevant).
-    unsigned core = 0;
-    std::uint64_t pulled = 0;
-    std::uint64_t instructions = 0;
-    std::size_t ci = 0;
-    std::size_t off = 0;
+HierarchyPass::HierarchyPass(const CacheHierarchy::Config &cfg,
+                             const WarmupArtifact &start)
+    : cfg_(cfg), start_(start.records), pos_(start.records),
+      instructions_(start.instructions)
+{
+    hierarchy_ = std::make_unique<CacheHierarchy>(cfg_);
+    hierarchy_->restoreState(start.hierarchy);
+}
+
+HierarchyPass::SpanId
+HierarchyPass::spanId(std::uint64_t warm, const SampleSchedule &sched)
+{
+    return {warm, sched.intervals, sched.period, sched.gap,
+            sched.ramp};
+}
+
+std::unique_lock<std::mutex>
+HierarchyPass::lock()
+{
+    std::unique_lock<std::mutex> held(mutex_, std::try_to_lock);
+    if (!held.owns_lock()) {
+        const auto t0 = std::chrono::steady_clock::now();
+        held.lock();
+        TraceCache::noteBuildWait(
+            std::chrono::duration<double>(
+                std::chrono::steady_clock::now() - t0)
+                .count());
+    }
+    return held;
+}
+
+void
+HierarchyPass::planWarmup(std::uint64_t warm)
+{
+    std::unique_lock<std::mutex> held = lock();
+    FPC_ASSERT(start_ == 0 && pos_ == start_);
+    if (pendingWarm_.insert(warm).second)
+        ++cuts_[warm].snapshotUses;
+}
+
+void
+HierarchyPass::planSpan(std::uint64_t warm,
+                        const SampleSchedule &sched)
+{
+    std::unique_lock<std::mutex> held = lock();
+    FPC_ASSERT(pos_ == start_ && warm >= start_);
+    if (!pendingSpans_.insert(spanId(warm, sched)).second)
+        return;
+    cuts_[warm];
+    for (unsigned p = 0; p < sched.intervals; ++p) {
+        const std::uint64_t period_start = warm + p * sched.period;
+        ++cuts_[period_start + sched.gap].snapshotUses;
+        cuts_[period_start + sched.period];
+    }
+}
+
+void
+HierarchyPass::run(const MaterializedTrace &trace, std::uint64_t stop)
+{
+    // Bit-compatible with PodSystem::runWarmup's functional path:
+    // the same round-robin burst dispatch from record 0, and ops
+    // appended in enqueue order — exactly the order the deferred
+    // FIFO hands them to the memory system (FIFOs preserve order,
+    // and in functional mode the cycle argument is always 0, so
+    // *when* an op drains is irrelevant). Every chunk but the
+    // last holds exactly kChunkRecords, so the cursor is pure
+    // arithmetic on the record index.
+    constexpr unsigned kBurst = PodSystem::kDispatchBurst;
+    const unsigned cores = cfg_.numCores;
+    unsigned core = static_cast<unsigned>((pos_ / kBurst) % cores);
+    std::size_t ci = static_cast<std::size_t>(
+        pos_ / MaterializedTrace::kChunkRecords);
+    std::size_t off = static_cast<std::size_t>(
+        pos_ % MaterializedTrace::kChunkRecords);
+    CacheHierarchy &hierarchy = *hierarchy_;
+    std::uint64_t instructions = instructions_;
     MemRequest req;
-    while (pulled < warm_records) {
+    while (pos_ < stop) {
         const MaterializedTrace::ChunkView c = trace.chunk(ci);
         const std::uint64_t burst_left =
-            kDispatchBurst - (pulled & (kDispatchBurst - 1));
+            kBurst - (pos_ & (kBurst - 1));
         const std::size_t take = static_cast<std::size_t>(
             std::min<std::uint64_t>(
                 {static_cast<std::uint64_t>(c.records - off),
-                 burst_left, warm_records - pulled}));
+                 burst_left, stop - pos_}));
         for (std::size_t i = 0; i < take; ++i) {
             req.paddr = c.paddr[off + i];
             req.pc = c.pc[off + i];
@@ -368,35 +428,191 @@ PodSystem::buildWarmupArtifact(const MaterializedTrace &trace,
 
             HierarchyOutcome out = hierarchy.access(req);
             if (!out.l1Hit && !out.l2Hit) {
-                art->paddr.push_back(req.paddr);
-                art->pc.push_back(req.pc);
-                art->coreId.push_back(req.coreId);
-                art->kind.push_back(req.op == MemOp::Write
-                                        ? WarmupArtifact::kWrite
-                                        : WarmupArtifact::kRead);
+                ops_.paddr.push_back(req.paddr);
+                ops_.pc.push_back(req.pc);
+                ops_.coreId.push_back(req.coreId);
+                ops_.kind.push_back(req.op == MemOp::Write
+                                        ? PostL2Ops::kWrite
+                                        : PostL2Ops::kRead);
             }
             for (unsigned w = 0; w < out.numWritebacks; ++w) {
-                art->paddr.push_back(out.writebackAddr[w]);
-                art->pc.push_back(0);
-                art->coreId.push_back(req.coreId);
-                art->kind.push_back(WarmupArtifact::kWriteback);
+                ops_.paddr.push_back(out.writebackAddr[w]);
+                ops_.pc.push_back(0);
+                ops_.coreId.push_back(req.coreId);
+                ops_.kind.push_back(PostL2Ops::kWriteback);
             }
         }
-        pulled += take;
+        pos_ += take;
         off += take;
         if (off == c.records) {
             off = 0;
             ++ci;
         }
-        if ((pulled & (kDispatchBurst - 1)) == 0)
+        if ((pos_ & (kBurst - 1)) == 0)
             core = (core + 1 == cores) ? 0 : core + 1;
     }
+    instructions_ = instructions;
+}
 
-    hierarchy.saveState(art->hierarchy);
-    art->records = warm_records;
-    art->instructions = instructions;
-    art->hierarchyBytes = hierarchy.stateBytes();
+void
+HierarchyPass::advanceTo(const MaterializedTrace &trace,
+                         std::uint64_t target)
+{
+    FPC_ASSERT(trace.size() >= target);
+    if (!hierarchy_)
+        hierarchy_ = std::make_unique<CacheHierarchy>(cfg_);
+    try {
+        for (;;) {
+            auto at = cuts_.find(pos_);
+            if (at != cuts_.end() && !at->second.reached) {
+                Cut &cut = at->second;
+                cut.op = opBase_ + ops_.paddr.size();
+                cut.instructions = instructions_;
+                cut.reached = true;
+                if (cut.snapshotUses > 0) {
+                    cut.snapshot =
+                        std::make_unique<CacheHierarchy::Snapshot>();
+                    hierarchy_->saveState(*cut.snapshot);
+                }
+            }
+            if (pos_ >= target)
+                return;
+            auto next = cuts_.upper_bound(pos_);
+            run(trace, next == cuts_.end()
+                           ? target
+                           : std::min(target, next->first));
+        }
+    } catch (...) {
+        broken_ = true;
+        throw;
+    }
+}
+
+CacheHierarchy::Snapshot
+HierarchyPass::takeSnapshot(Cut &cut)
+{
+    FPC_ASSERT(cut.snapshot && cut.snapshotUses > 0);
+    if (--cut.snapshotUses > 0)
+        return *cut.snapshot;
+    CacheHierarchy::Snapshot out = std::move(*cut.snapshot);
+    cut.snapshot.reset();
+    return out;
+}
+
+void
+HierarchyPass::retireIfDone()
+{
+    if (!pendingWarm_.empty() || !pendingSpans_.empty())
+        return;
+    hierarchy_.reset();
+    prefix_.reset();
+    ops_ = PostL2Ops{};
+    cuts_.clear();
+}
+
+namespace {
+
+/** Append ops [begin, end) of src to dst. */
+void
+appendOps(const PostL2Ops &src, std::uint64_t begin, std::uint64_t end,
+          PostL2Ops &dst)
+{
+    dst.paddr.insert(dst.paddr.end(), src.paddr.begin() + begin,
+                     src.paddr.begin() + end);
+    dst.pc.insert(dst.pc.end(), src.pc.begin() + begin,
+                  src.pc.begin() + end);
+    dst.coreId.insert(dst.coreId.end(), src.coreId.begin() + begin,
+                      src.coreId.begin() + end);
+    dst.kind.insert(dst.kind.end(), src.kind.begin() + begin,
+                    src.kind.begin() + end);
+}
+
+} // namespace
+
+void
+HierarchyPass::copyOps(std::uint64_t begin, std::uint64_t end,
+                       PostL2Ops &dst) const
+{
+    const std::size_t n = dst.paddr.size() + (end - begin);
+    dst.paddr.reserve(n);
+    dst.pc.reserve(n);
+    dst.coreId.reserve(n);
+    dst.kind.reserve(n);
+    const std::uint64_t split = std::min(end, opBase_);
+    if (begin < split)
+        appendOps(*prefix_, begin, split, dst);
+    begin = std::max(begin, opBase_);
+    if (begin < end)
+        appendOps(ops_, begin - opBase_, end - opBase_, dst);
+}
+
+std::shared_ptr<const WarmupArtifact>
+HierarchyPass::cutWarmup(const MaterializedTrace &trace,
+                         std::uint64_t warm)
+{
+    std::unique_lock<std::mutex> held = lock();
+    if (broken_ || pendingWarm_.erase(warm) == 0)
+        return nullptr;
+    advanceTo(trace, warm);
+    Cut &cut = cuts_.at(warm);
+    auto art = std::make_shared<WarmupArtifact>();
+    copyOps(0, cut.op, *art);
+    if (cut.op >= opBase_) {
+        // The window now holds every op before its cut: keep it as
+        // the prefix and drop the pass's copy of those ops.
+        prefix_ = art;
+        PostL2Ops tail;
+        appendOps(ops_, cut.op - opBase_, ops_.paddr.size(), tail);
+        ops_ = std::move(tail);
+        opBase_ = cut.op;
+    }
+    art->hierarchy = takeSnapshot(cut);
+    art->records = warm;
+    art->instructions = cut.instructions;
+    art->hierarchyBytes = hierarchy_->stateBytes();
+    retireIfDone();
     return art;
+}
+
+std::shared_ptr<const SampleSpanArtifact>
+HierarchyPass::cutSpan(const MaterializedTrace &trace,
+                       std::uint64_t warm,
+                       const SampleSchedule &sched)
+{
+    std::unique_lock<std::mutex> held = lock();
+    if (broken_ || pendingSpans_.erase(spanId(warm, sched)) == 0)
+        return nullptr;
+    advanceTo(trace, warm + sched.spanRecords());
+    const Cut &first = cuts_.at(warm);
+    auto art = std::make_shared<SampleSpanArtifact>();
+    art->schedule = sched;
+    copyOps(first.op, cuts_.at(warm + sched.spanRecords()).op, *art);
+    for (unsigned p = 0; p < sched.intervals; ++p) {
+        const std::uint64_t period_start = warm + p * sched.period;
+        const Cut &begin = cuts_.at(period_start);
+        Cut &gap_end = cuts_.at(period_start + sched.gap);
+        art->opGapEnd.push_back(gap_end.op - first.op);
+        art->gapInstructions.push_back(gap_end.instructions -
+                                       begin.instructions);
+        art->hierarchyAtTimedStart.push_back(takeSnapshot(gap_end));
+        art->opPeriodEnd.push_back(
+            cuts_.at(period_start + sched.period).op - first.op);
+    }
+    art->hierarchyBytes =
+        static_cast<std::uint64_t>(sched.intervals) *
+        hierarchy_->stateBytes();
+    retireIfDone();
+    return art;
+}
+
+std::shared_ptr<const WarmupArtifact>
+PodSystem::buildWarmupArtifact(const MaterializedTrace &trace,
+                               const CacheHierarchy::Config &hier_cfg,
+                               std::uint64_t warm_records)
+{
+    HierarchyPass pass(hier_cfg);
+    pass.planWarmup(warm_records);
+    return pass.cutWarmup(trace, warm_records);
 }
 
 std::shared_ptr<const SampleSpanArtifact>
@@ -407,91 +623,39 @@ PodSystem::buildSampleSpanArtifact(
     const SampleSchedule &sched)
 {
     FPC_ASSERT(warm_art.records == warm_records);
-    FPC_ASSERT(trace.size() >=
-               warm_records + sched.spanRecords());
-    auto art = std::make_shared<SampleSpanArtifact>();
-    art->schedule = sched;
-    CacheHierarchy hierarchy(hier_cfg);
-    hierarchy.restoreState(warm_art.hierarchy);
-    const unsigned cores = hier_cfg.numCores;
+    HierarchyPass pass(hier_cfg, warm_art);
+    pass.planSpan(warm_records, sched);
+    return pass.cutSpan(trace, warm_records, sched);
+}
 
-    // Continues buildWarmupArtifact's pass as if the two were one:
-    // `pulled` keeps counting from record 0 so the round-robin
-    // burst rotation carries across the seam, and the chunk cursor
-    // starts mid-arena (every chunk but the last holds exactly
-    // kChunkRecords, so the split is pure arithmetic).
-    std::uint64_t pulled = warm_records;
-    unsigned core = static_cast<unsigned>(
-        (pulled / kDispatchBurst) % cores);
-    std::size_t ci = static_cast<std::size_t>(
-        warm_records / MaterializedTrace::kChunkRecords);
-    std::size_t off = static_cast<std::size_t>(
-        warm_records % MaterializedTrace::kChunkRecords);
-    std::uint64_t instructions = 0;
+void
+PodSystem::replayOps(const PostL2Ops &ops, std::size_t begin,
+                     std::size_t end)
+{
     MemRequest req;
-    const auto pass = [&](std::uint64_t count) {
-        const std::uint64_t stop = pulled + count;
-        while (pulled < stop) {
-            const MaterializedTrace::ChunkView c =
-                trace.chunk(ci);
-            const std::uint64_t burst_left =
-                kDispatchBurst - (pulled & (kDispatchBurst - 1));
-            const std::size_t take = static_cast<std::size_t>(
-                std::min<std::uint64_t>(
-                    {static_cast<std::uint64_t>(c.records - off),
-                     burst_left, stop - pulled}));
-            for (std::size_t i = 0; i < take; ++i) {
-                req.paddr = c.paddr[off + i];
-                req.pc = c.pc[off + i];
-                req.op = static_cast<MemOp>(c.op[off + i]);
-                req.coreId = static_cast<std::uint16_t>(core);
-                instructions += c.gap[off + i] + 1;
-
-                HierarchyOutcome out = hierarchy.access(req);
-                if (!out.l1Hit && !out.l2Hit) {
-                    art->paddr.push_back(req.paddr);
-                    art->pc.push_back(req.pc);
-                    art->coreId.push_back(req.coreId);
-                    art->kind.push_back(
-                        req.op == MemOp::Write
-                            ? WarmupArtifact::kWrite
-                            : WarmupArtifact::kRead);
-                }
-                for (unsigned w = 0; w < out.numWritebacks;
-                     ++w) {
-                    art->paddr.push_back(out.writebackAddr[w]);
-                    art->pc.push_back(0);
-                    art->coreId.push_back(req.coreId);
-                    art->kind.push_back(
-                        WarmupArtifact::kWriteback);
-                }
-            }
-            pulled += take;
-            off += take;
-            if (off == c.records) {
-                off = 0;
-                ++ci;
-            }
-            if ((pulled & (kDispatchBurst - 1)) == 0)
-                core = (core + 1 == cores) ? 0 : core + 1;
+    for (std::size_t i = begin; i < end; ++i) {
+        if ((i & 0xfff) == 0)
+            throwIfCancelled(config_.cancel);
+        // Same effective two-stage tag/payload prefetch
+        // distances the deferred FIFO gives the in-band warmup
+        // loop (stage 1 a full queue ahead, stage 2 half plus
+        // the in-flight drain slot).
+        if (i + 8 < end)
+            memory_.prefetchFor(ops.paddr[i + 8]);
+        if (i + 5 < end)
+            memory_.prefetchFor2(ops.paddr[i + 5]);
+        const std::uint8_t kind = ops.kind[i];
+        if (kind == PostL2Ops::kWriteback) {
+            memory_.writeback(0, ops.paddr[i]);
+        } else {
+            req.paddr = ops.paddr[i];
+            req.pc = ops.pc[i];
+            req.op = kind == PostL2Ops::kWrite ? MemOp::Write
+                                               : MemOp::Read;
+            req.coreId = ops.coreId[i];
+            memory_.access(0, req);
         }
-    };
-
-    for (unsigned p = 0; p < sched.intervals; ++p) {
-        const std::uint64_t instr_before = instructions;
-        pass(sched.gap);
-        art->opGapEnd.push_back(art->paddr.size());
-        art->gapInstructions.push_back(instructions -
-                                       instr_before);
-        art->hierarchyAtTimedStart.emplace_back();
-        hierarchy.saveState(art->hierarchyAtTimedStart.back());
-        pass(sched.ramp + sched.measure);
-        art->opPeriodEnd.push_back(art->paddr.size());
     }
-    art->hierarchyBytes =
-        static_cast<std::uint64_t>(sched.intervals) *
-        hierarchy.stateBytes();
-    return art;
 }
 
 void
@@ -502,32 +666,7 @@ PodSystem::applyWarmup(const WarmupArtifact &artifact)
     hierarchy_.restoreState(artifact.hierarchy);
 
     memory_.setMode(SimMode::Functional);
-    const std::size_t n = artifact.paddr.size();
-    MemRequest req;
-    for (std::size_t i = 0; i < n; ++i) {
-        if ((i & 0xfff) == 0)
-            throwIfCancelled(config_.cancel);
-        // Same effective two-stage tag/payload prefetch
-        // distances the deferred FIFO gives the in-band warmup
-        // loop (stage 1 a full queue ahead, stage 2 half plus
-        // the in-flight drain slot).
-        if (i + 8 < n)
-            memory_.prefetchFor(artifact.paddr[i + 8]);
-        if (i + 5 < n)
-            memory_.prefetchFor2(artifact.paddr[i + 5]);
-        const std::uint8_t kind = artifact.kind[i];
-        if (kind == WarmupArtifact::kWriteback) {
-            memory_.writeback(0, artifact.paddr[i]);
-        } else {
-            req.paddr = artifact.paddr[i];
-            req.pc = artifact.pc[i];
-            req.op = kind == WarmupArtifact::kWrite
-                         ? MemOp::Write
-                         : MemOp::Read;
-            req.coreId = artifact.coreId[i];
-            memory_.access(0, req);
-        }
-    }
+    replayOps(artifact, 0, artifact.paddr.size());
     total_records_ += artifact.records;
     total_instructions_ += artifact.instructions;
 
@@ -922,7 +1061,6 @@ PodSystem::runSampled(std::uint64_t span_refs,
     std::uint64_t op_start = 0;
     Cycle clock = 0;
     MeasureCarry carry;
-    MemRequest req;
     for (unsigned i = 0; i < sched.intervals; ++i) {
         auto t0 = std::chrono::steady_clock::now();
 
@@ -933,26 +1071,7 @@ PodSystem::runSampled(std::uint64_t span_refs,
         // hierarchy snapshot at the timed start.
         const std::uint64_t op_end = span_art.opGapEnd[i];
         memory_.setMode(SimMode::Functional);
-        for (std::uint64_t o = op_start; o < op_end; ++o) {
-            if ((o & 0xfff) == 0)
-                throwIfCancelled(config_.cancel);
-            if (o + 8 < op_end)
-                memory_.prefetchFor(span_art.paddr[o + 8]);
-            if (o + 5 < op_end)
-                memory_.prefetchFor2(span_art.paddr[o + 5]);
-            const std::uint8_t kind = span_art.kind[o];
-            if (kind == WarmupArtifact::kWriteback) {
-                memory_.writeback(0, span_art.paddr[o]);
-            } else {
-                req.paddr = span_art.paddr[o];
-                req.pc = span_art.pc[o];
-                req.op = kind == WarmupArtifact::kWrite
-                             ? MemOp::Write
-                             : MemOp::Read;
-                req.coreId = span_art.coreId[o];
-                memory_.access(0, req);
-            }
-        }
+        replayOps(span_art, op_start, op_end);
         if (sched.gap > 0)
             trace_.fastForward(sched.gap);
         total_records_ += sched.gap;

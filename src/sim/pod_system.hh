@@ -33,7 +33,11 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <mutex>
+#include <set>
+#include <tuple>
 #include <vector>
 
 #include "cache/hierarchy.hh"
@@ -268,37 +272,53 @@ struct SampledRun
 };
 
 /**
- * Design-independent image of one functional warmup window.
- *
- * Under SimMode::Functional the warmup loop's record-to-core
- * dispatch is timing-independent and the hierarchy has no feedback
- * from the memory system below, so over a given trace prefix the
- * hierarchy evolves identically for *every* design, and so does
- * the sequence of memory-system operations it emits (the deferred
- * FIFO preserves enqueue order, and every cycle argument is 0).
- * One pass over the trace therefore captures everything a design
- * needs to warm up: the hierarchy snapshot at the phase boundary
- * plus the columnar post-L2 operation stream, which each point
- * replays into its own memory system (PodSystem::applyWarmup) —
- * skipping trace decoding and hierarchy simulation entirely.
- *
- * Artifacts are keyed by trace identity, hierarchy configuration
- * and warm length, and shared through the TraceCache.
+ * Columnar post-L2 operation stream of a functional hierarchy
+ * pass, in the order the memory system sees it (the deferred FIFO
+ * preserves enqueue order, and every cycle argument is 0).
  */
-struct WarmupArtifact : TraceCacheEntry
+struct PostL2Ops
 {
     /** Demand-access kinds of the op stream (kind column). */
     static constexpr std::uint8_t kRead = 0;
     static constexpr std::uint8_t kWrite = 1;
     static constexpr std::uint8_t kWriteback = 2;
 
-    CacheHierarchy::Snapshot hierarchy;
-
-    /** Memory-system operations, in the order memory sees them. */
     std::vector<Addr> paddr;
     std::vector<Pc> pc;
     std::vector<std::uint16_t> coreId;
     std::vector<std::uint8_t> kind;
+
+    /** Bytes of the four columns. */
+    std::uint64_t
+    opBytes() const
+    {
+        return paddr.size() *
+               (sizeof(Addr) + sizeof(Pc) + sizeof(std::uint16_t) +
+                sizeof(std::uint8_t));
+    }
+};
+
+/**
+ * Design-independent image of one functional warmup window.
+ *
+ * Under SimMode::Functional the warmup loop's record-to-core
+ * dispatch is timing-independent and the hierarchy has no feedback
+ * from the memory system below, so over a given trace prefix the
+ * hierarchy evolves identically for *every* design, and so does
+ * the sequence of memory-system operations it emits. One pass
+ * over the trace therefore captures everything a design needs to
+ * warm up: the hierarchy snapshot at the phase boundary plus the
+ * columnar post-L2 operation stream, which each point replays
+ * into its own memory system (PodSystem::applyWarmup) — skipping
+ * trace decoding and hierarchy simulation entirely.
+ *
+ * Artifacts are keyed by trace identity, hierarchy configuration
+ * and warm length, shared through the TraceCache, and cut from
+ * the trace's HierarchyPass.
+ */
+struct WarmupArtifact : TraceCacheEntry, PostL2Ops
+{
+    CacheHierarchy::Snapshot hierarchy;
 
     /** Trace records the warm window consumed. */
     std::uint64_t records = 0;
@@ -312,11 +332,7 @@ struct WarmupArtifact : TraceCacheEntry
     std::uint64_t
     cacheBytes() const override
     {
-        return hierarchyBytes +
-               paddr.size() *
-                   (sizeof(Addr) + sizeof(Pc) +
-                    sizeof(std::uint16_t) +
-                    sizeof(std::uint8_t));
+        return hierarchyBytes + opBytes();
     }
 };
 
@@ -328,32 +344,25 @@ struct WarmupArtifact : TraceCacheEntry
  * covers the gaps between a sampled run's timed intervals: under
  * SimMode::Functional the hierarchy evolves identically for every
  * design, and so does the post-L2 op stream it emits. One pass
- * over the span (starting from the warm window's hierarchy state)
- * therefore captures, per period, everything a design needs to
- * stay stream-accurate while skipping the gap: the op stream to
- * replay into its own memory system, plus the hierarchy snapshot
- * at the period's timed start. Replay cost is O(post-L2 ops of
- * the gap) — typically far below one op per record — instead of
- * O(records) for either engine loop, which is where sampled
- * mode's speedup comes from.
+ * over the span therefore captures, per period, everything a
+ * design needs to stay stream-accurate while skipping the gap:
+ * the op stream to replay into its own memory system, plus the
+ * hierarchy snapshot at the period's timed start. Replay cost is
+ * O(post-L2 ops of the gap) — typically far below one op per
+ * record — instead of O(records) for either engine loop, which is
+ * where sampled mode's speedup comes from.
  *
- * The op stream covers whole periods (the timed stretch of each
- * period is generated live by the measurement loop and is NOT
- * replayed); opGapEnd/opPeriodEnd cut it per period. Artifacts
- * are keyed by trace identity, hierarchy configuration, warm
- * length and schedule, and shared through the TraceCache.
+ * The op stream (post-L2 ops over [warm, warm + spanRecords()))
+ * covers whole periods (the timed stretch of each period is
+ * generated live by the measurement loop and is NOT replayed);
+ * opGapEnd/opPeriodEnd cut it per period. Artifacts are keyed by
+ * trace identity, hierarchy configuration, warm length and
+ * schedule, and shared through the TraceCache.
  */
-struct SampleSpanArtifact : TraceCacheEntry
+struct SampleSpanArtifact : TraceCacheEntry, PostL2Ops
 {
     /** The layout this artifact was cut for. */
     SampleSchedule schedule;
-
-    /** Post-L2 ops over [warm, warm + spanRecords()), in memory
-     * order (same columns and kinds as WarmupArtifact). */
-    std::vector<Addr> paddr;
-    std::vector<Pc> pc;
-    std::vector<std::uint16_t> coreId;
-    std::vector<std::uint8_t> kind;
 
     /** Per period: op index at the end of the gap / the period.
      * Period i replays ops [opPeriodEnd[i-1], opGapEnd[i]). */
@@ -372,11 +381,7 @@ struct SampleSpanArtifact : TraceCacheEntry
     std::uint64_t
     cacheBytes() const override
     {
-        return hierarchyBytes +
-               paddr.size() *
-                   (sizeof(Addr) + sizeof(Pc) +
-                    sizeof(std::uint16_t) +
-                    sizeof(std::uint8_t)) +
+        return hierarchyBytes + opBytes() +
                (opGapEnd.size() + opPeriodEnd.size() +
                 gapInstructions.size()) *
                    sizeof(std::uint64_t);
@@ -423,8 +428,8 @@ class PodSystem
 
     /**
      * Records per dispatch burst of the lightweight warmup loop
-     * (power of two). Shared with buildWarmupArtifact, whose
-     * dispatch must be bit-compatible.
+     * (power of two). Shared with HierarchyPass, whose dispatch
+     * must be bit-compatible.
      */
     static constexpr unsigned kDispatchBurst = 1024;
 
@@ -432,7 +437,8 @@ class PodSystem
      * One hierarchy-only pass over records [0, warm_records) of
      * @p trace: the design-independent half of a functional
      * warmup. The returned artifact warms any same-config pod via
-     * applyWarmup().
+     * applyWarmup(). A private HierarchyPass with one planned cut;
+     * sweeps cut every window of a trace from one shared pass.
      */
     static std::shared_ptr<const WarmupArtifact>
     buildWarmupArtifact(const MaterializedTrace &trace,
@@ -445,7 +451,8 @@ class PodSystem
      * from @p warm_art's hierarchy snapshot: the
      * design-independent half of a sampled span. The returned
      * artifact keeps any same-config pod stream-accurate across
-     * the schedule's gaps (see SampleSpanArtifact).
+     * the schedule's gaps (see SampleSpanArtifact). A private
+     * HierarchyPass resumed from @p warm_art.
      */
     static std::shared_ptr<const SampleSpanArtifact>
     buildSampleSpanArtifact(const MaterializedTrace &trace,
@@ -529,6 +536,11 @@ class PodSystem
     };
 
     Snapshot capture(Cycle now) const;
+
+    /** Replay ops [begin, end) of @p ops into the memory system
+     * (functional mode; the caller sets the mode). */
+    void replayOps(const PostL2Ops &ops, std::size_t begin,
+                   std::size_t end);
 
     /** Arm introspection at the measurement boundary (idempotent):
      * attach to the memory system and build probe_names_. */
@@ -630,6 +642,126 @@ class PodSystem
     std::vector<std::string> probe_names_;
     /** armIntrospection() latch. */
     bool intro_armed_ = false;
+};
+
+/**
+ * The functional hierarchy pass behind WarmupArtifact and
+ * SampleSpanArtifact: one hierarchy-only walk over a trace,
+ * advanced on demand in record order, from which every planned
+ * artifact of that trace is cut.
+ *
+ * Functional dispatch is a pure function of the record index
+ * (PodSystem::kDispatchBurst round-robin from record 0), so the
+ * hierarchy state, the cumulative instruction count and the op
+ * stream at record r are the same for every capacity and schedule
+ * sharing the trace and hierarchy configuration. The pass runs
+ * each record once: at every planned cut it records the op index
+ * and instruction count, plus a hierarchy snapshot where an
+ * artifact needs one, and each artifact is a copy of its op range
+ * plus its snapshots. The longest window cut so far holds the ops
+ * before its cut, so the pass itself keeps only the ops after it.
+ * Cuts passed but not yet consumed stay stashed until their last
+ * planned consumer takes them; once every planned artifact is
+ * cut, the pass frees its hierarchy and ops.
+ *
+ * Plan every artifact before the first cut. A cut*() call for an
+ * artifact that was not planned or was already cut (a released
+ * cache entry being rebuilt) returns null, and the caller falls
+ * back to PodSystem's standalone builders. Every materialization
+ * of the trace identity is bit-identical, so each call may pass
+ * any arena long enough for the cut. Thread-safe; time spent
+ * blocked on another thread's advance is reported to
+ * TraceCache::noteBuildWait, so the advancing builder alone pays
+ * for it.
+ */
+class HierarchyPass
+{
+  public:
+    /** A pass from record 0 with a cold hierarchy. */
+    explicit HierarchyPass(const CacheHierarchy::Config &cfg);
+
+    /** A pass resuming at @p start's warm boundary from its
+     * snapshot; it can cut spans only. */
+    HierarchyPass(const CacheHierarchy::Config &cfg,
+                  const WarmupArtifact &start);
+
+    /** Plan a later cutWarmup(warm) (idempotent). */
+    void planWarmup(std::uint64_t warm);
+
+    /** Plan a later cutSpan(warm, sched) (idempotent). */
+    void planSpan(std::uint64_t warm, const SampleSchedule &sched);
+
+    /** What PodSystem::buildWarmupArtifact(trace, cfg, warm)
+     * returns, or null (see the class comment). */
+    std::shared_ptr<const WarmupArtifact>
+    cutWarmup(const MaterializedTrace &trace, std::uint64_t warm);
+
+    /** What PodSystem::buildSampleSpanArtifact returns for the
+     * same warm window and schedule, or null. */
+    std::shared_ptr<const SampleSpanArtifact>
+    cutSpan(const MaterializedTrace &trace, std::uint64_t warm,
+            const SampleSchedule &sched);
+
+  private:
+    /** One planned record boundary. */
+    struct Cut
+    {
+        /** Op index / instructions so far (once reached). */
+        std::uint64_t op = 0;
+        std::uint64_t instructions = 0;
+        bool reached = false;
+        /** Planned artifacts yet to take the snapshot. */
+        unsigned snapshotUses = 0;
+        /** Held from reaching the cut until its last use. */
+        std::unique_ptr<CacheHierarchy::Snapshot> snapshot;
+    };
+
+    /** (warm, intervals, period, gap, ramp): the span's key. */
+    using SpanId = std::tuple<std::uint64_t, unsigned, std::uint64_t,
+                              std::uint64_t, std::uint64_t>;
+
+    static SpanId spanId(std::uint64_t warm,
+                         const SampleSchedule &sched);
+
+    /** Lock mutex_, reporting contended time as a build wait. */
+    std::unique_lock<std::mutex> lock();
+
+    /** Run the pass to @p target, reaching every cut on the way
+     * (marks the pass broken if it throws). */
+    void advanceTo(const MaterializedTrace &trace,
+                   std::uint64_t target);
+
+    /** The hierarchy loop: records [pos_, stop). */
+    void run(const MaterializedTrace &trace, std::uint64_t stop);
+
+    /** dst += ops [begin, end), from prefix_ and ops_. */
+    void copyOps(std::uint64_t begin, std::uint64_t end,
+                 PostL2Ops &dst) const;
+
+    /** Hand one planned use of @p cut's snapshot out. */
+    CacheHierarchy::Snapshot takeSnapshot(Cut &cut);
+
+    /** After an artifact is cut: free everything once none is
+     * left to cut. */
+    void retireIfDone();
+
+    const CacheHierarchy::Config cfg_;
+    std::mutex mutex_;
+    /** Null until the first advance and after retirement. */
+    std::unique_ptr<CacheHierarchy> hierarchy_;
+    /** Record the pass started at (0 unless resumed). */
+    const std::uint64_t start_;
+    std::uint64_t pos_;
+    std::uint64_t instructions_ = 0;
+    /** The longest window cut so far: ops [0, opBase_). */
+    std::shared_ptr<const WarmupArtifact> prefix_;
+    /** Ops from op index opBase_ on. */
+    PostL2Ops ops_;
+    std::uint64_t opBase_ = 0;
+    std::map<std::uint64_t, Cut> cuts_;
+    std::set<std::uint64_t> pendingWarm_;
+    std::set<SpanId> pendingSpans_;
+    bool broken_ = false;
 };
 
 } // namespace fpc

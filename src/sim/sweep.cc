@@ -439,6 +439,13 @@ warmupArtifactEligible(const ExperimentPoint &point,
            !point.cfg.pod.allTimedWarmup;
 }
 
+/** One shared HierarchyPass per trace identity and hierarchy. */
+std::string
+hierarchyPassKey(const ExperimentPoint &point)
+{
+    return point.traceKey() + "/" + hierarchySignature(point.cfg.pod);
+}
+
 std::string
 warmupArtifactKey(const ExperimentPoint &point,
                   std::uint64_t warm)
@@ -692,6 +699,15 @@ runPoint(const ExperimentPoint &point)
     // (hierarchy snapshot + post-L2 op stream) per warm window.
     span_t0 = tracer ? tracer->nowUs() : 0;
     t0 = std::chrono::steady_clock::now();
+    // Builders cut from the trace's shared hierarchy pass when the
+    // runner planned one, so the whole sweep runs each record of
+    // a trace through the hierarchy once.
+    HierarchyPass *pass = nullptr;
+    if (arena != nullptr && point.hierarchyPasses != nullptr) {
+        auto it = point.hierarchyPasses->find(hierarchyPassKey(point));
+        if (it != point.hierarchyPasses->end())
+            pass = it->second.get();
+    }
     std::shared_ptr<const WarmupArtifact> warm_artifact;
     if (arena != nullptr && warmupArtifactEligible(point, warm)) {
         bool built = false;
@@ -703,9 +719,14 @@ runPoint(const ExperimentPoint &point)
                         faultPoint("warmup-build",
                                    point.traceKey());
                         built = true;
-                        return PodSystem::buildWarmupArtifact(
-                            *arena, point.cfg.pod.hierarchy,
-                            warm);
+                        std::shared_ptr<const WarmupArtifact> art;
+                        if (pass != nullptr)
+                            art = pass->cutWarmup(*arena, warm);
+                        if (art == nullptr)
+                            art = PodSystem::buildWarmupArtifact(
+                                *arena, point.cfg.pod.hierarchy,
+                                warm);
+                        return art;
                     }));
         out.timing.replayedWarmup = true;
         out.timing.builtWarmup = built;
@@ -745,9 +766,15 @@ runPoint(const ExperimentPoint &point)
                     [&](std::uint64_t) -> TraceCache::EntryPtr {
                         faultPoint("span-build",
                                    point.traceKey());
-                        return PodSystem::buildSampleSpanArtifact(
-                            *arena, point.cfg.pod.hierarchy,
-                            *warm_artifact, warm, sched);
+                        std::shared_ptr<const SampleSpanArtifact>
+                            art;
+                        if (pass != nullptr)
+                            art = pass->cutSpan(*arena, warm, sched);
+                        if (art == nullptr)
+                            art = PodSystem::buildSampleSpanArtifact(
+                                *arena, point.cfg.pod.hierarchy,
+                                *warm_artifact, warm, sched);
+                        return art;
                     }));
         } else {
             // No shared arena (trace cache off) or no warmup
@@ -1008,6 +1035,7 @@ SweepRunner::runResilient(
     // generates a stream long enough for the largest window
     // sharing it (journal-served points never touch the cache).
     std::optional<TraceCache> cache;
+    std::map<std::string, std::unique_ptr<HierarchyPass>> passes;
     if (cacheCfg_.enabled) {
         cache.emplace(cacheCfg_.budgetBytes);
         for (const std::size_t i : pending) {
@@ -1052,7 +1080,15 @@ SweepRunner::runResilient(
             const std::uint64_t warm = p.warmupWindow();
             if (!p.inBandWarmup &&
                 warmupArtifactEligible(p, warm)) {
+                // The trace's shared pass learns every cut the
+                // sweep will take from it (plans are idempotent).
+                std::unique_ptr<HierarchyPass> &pass =
+                    passes[hierarchyPassKey(p)];
+                if (!pass)
+                    pass = std::make_unique<HierarchyPass>(
+                        p.cfg.pod.hierarchy);
                 cache->plan(warmupArtifactKey(p, warm), warm);
+                pass->planWarmup(warm);
                 if (p.cfg.pod.sampling.enabled) {
                     const SampleSchedule sched =
                         computeSampleSchedule(
@@ -1061,6 +1097,7 @@ SweepRunner::runResilient(
                     cache->plan(
                         sampleArtifactKey(p, warm, sched),
                         sched.spanRecords());
+                    pass->planSpan(warm, sched);
                 }
             }
         }
@@ -1123,6 +1160,7 @@ SweepRunner::runResilient(
                 try {
                     ExperimentPoint p = points[i];
                     p.traceCache = cache ? &*cache : nullptr;
+                    p.hierarchyPasses = &passes;
                     p.cfg.pod.cancel = &cancel[i];
                     p.tracer = res.tracer;
                     PointResult got = runPoint(p);
@@ -1511,12 +1549,18 @@ renderTimingReport(const std::vector<ExperimentRun> &runs,
               " miss(es), %" PRIu64 " regeneration(s), %" PRIu64
               " eviction(s), %" PRIu64 " released, %" PRIu64
               " wait(s), %" PRIu64
-              " build failure(s), peak %.1f MB, %.2fs building\n",
+              " build failure(s), peak %.1f MB, %.2fs building",
               cache.hits, cache.misses, cache.regenerations,
               cache.evictions, cache.released, cache.waits,
               cache.buildFailures,
               static_cast<double>(cache.peakBytes) / (1 << 20),
               cache.buildSeconds);
+    const char *sep = " (";
+    for (const auto &[kind, seconds] : cache.buildSecondsByKind) {
+        appendFmt(out, "%s%s %.2fs", sep, kind.c_str(), seconds);
+        sep = ", ";
+    }
+    out += cache.buildSecondsByKind.empty() ? "\n" : ")\n";
     return out;
 }
 
@@ -1541,11 +1585,21 @@ renderTimingJson(const SweepOptions &options,
               ", \"released\": %" PRIu64 ", \"waits\": %" PRIu64
               ", \"build_failures\": %" PRIu64
               ", \"peak_bytes\": %" PRIu64
-              ", \"build_seconds\": %.4f},\n",
+              ", \"build_seconds\": %.4f"
+              ", \"build_seconds_by_kind\": {",
               cache.hits, cache.misses, cache.regenerations,
               cache.evictions, cache.released, cache.waits,
               cache.buildFailures, cache.peakBytes,
               cache.buildSeconds);
+    const char *sep = "";
+    for (const auto &[kind, seconds] : cache.buildSecondsByKind) {
+        out += sep;
+        out += "\"";
+        appendJsonEscaped(out, kind);
+        appendFmt(out, "\": %.4f", seconds);
+        sep = ", ";
+    }
+    out += "}},\n";
     out += "  \"points\": [";
     bool first = true;
     for (const ExperimentRun &run : runs) {

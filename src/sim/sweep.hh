@@ -27,6 +27,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -475,6 +477,17 @@ struct ExperimentPoint
      * Null (external callers) preserves per-point generation.
      */
     TraceCache *traceCache = nullptr;
+
+    /**
+     * Shared functional hierarchy passes keyed by trace identity
+     * and hierarchy configuration, set (non-owning) by the SweepRunner
+     * alongside traceCache: runPoint's artifact builders cut the
+     * point's warmup and span artifacts from its trace's pass
+     * instead of re-running the hierarchy from record 0. Null, or
+     * no pass for the point: the standalone builders.
+     */
+    const std::map<std::string, std::unique_ptr<HierarchyPass>>
+        *hierarchyPasses = nullptr;
 
     /**
      * Additional trace identities a custom run function will

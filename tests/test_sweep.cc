@@ -307,6 +307,19 @@ TEST(SweepJson, TimingEmittedOnlyOnExplicitRequest)
         renderTimingReport({run}, TraceCacheStats{});
     EXPECT_NE(report.find("unit/"), std::string::npos);
     EXPECT_NE(report.find("trace cache:"), std::string::npos);
+
+    // Build seconds split by artifact kind (cache-key prefix).
+    TraceCacheStats built;
+    built.buildSeconds = 1.75;
+    built.buildSecondsByKind = {{"trace", 1.5}, {"warmup", 0.25}};
+    EXPECT_NE(renderTimingJson(opts, {run}, built)
+                  .find("\"build_seconds\": 1.7500, "
+                        "\"build_seconds_by_kind\": {\"trace\": "
+                        "1.5000, \"warmup\": 0.2500}}"),
+              std::string::npos);
+    EXPECT_NE(renderTimingReport({run}, built)
+                  .find("1.75s building (trace 1.50s, warmup 0.25s)"),
+              std::string::npos);
 }
 
 TEST(SweepRunner, ResultsIndependentOfBatchOrder)

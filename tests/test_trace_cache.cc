@@ -3,14 +3,21 @@
  * Materialized-trace subsystem tests: arena round trips, replay
  * vs fresh-generation bit-identity over full streams (batch and
  * single-record APIs, all cores), the skip contract, TraceCache
- * build-once/plan/evict/release semantics, and warmup-artifact
- * equivalence with the in-band functional warmup.
+ * build-once/plan/evict/release semantics, warmup-artifact
+ * equivalence with the in-band functional warmup, and the shared
+ * HierarchyPass against the standalone artifact builders and a
+ * record-by-record reference.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <map>
 #include <memory>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -425,6 +432,30 @@ TEST(TraceCache, BuilderFailurePropagatesAndRetries)
     EXPECT_NE(ok, nullptr);
 }
 
+TEST(TraceCache, BuildWaitsAreNotBuildSeconds)
+{
+    // A builder that reports blocking on another builder's work
+    // counts a wait, and the blocked time leaves buildSeconds.
+    TraceCache::noteBuildWait(1.0); // outside a builder: no-op
+    TraceCache cache(std::uint64_t{1} << 30);
+    const auto t0 = std::chrono::steady_clock::now();
+    cache.acquire("warmup/k", 0,
+                  [](std::uint64_t) -> TraceCache::EntryPtr {
+                      std::this_thread::sleep_for(
+                          std::chrono::milliseconds(20));
+                      TraceCache::noteBuildWait(0.02);
+                      return std::make_shared<FakeEntry>(1);
+                  });
+    const double outside = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
+    const TraceCacheStats stats = cache.stats();
+    EXPECT_EQ(stats.waits, 1u);
+    EXPECT_LE(stats.buildSeconds, outside - 0.02 + 1e-9);
+    EXPECT_EQ(stats.buildSecondsByKind.at("warmup"),
+              stats.buildSeconds);
+}
+
 TEST(WarmupArtifact, ApplyMatchesInBandWarmup)
 {
     // The artifact path (hierarchy snapshot + op-stream replay)
@@ -503,6 +534,391 @@ TEST(WarmupArtifact, SharedAcrossDesignsViaRunPoint)
     // One arena, one artifact: the second design hit both.
     EXPECT_EQ(cache.stats().misses, 2u);
     EXPECT_EQ(cache.stats().hits, 2u);
+}
+
+
+// ---------------------------------------------------------------
+// Shared hierarchy pass
+
+/** Windows straddling the arena's first chunk boundary, each
+ * span reaching past the next window's warm cut. */
+constexpr std::uint64_t kPassWarms[] = {1'000'000, 1'030'000,
+                                        1'060'000, 1'150'000};
+
+SampleSchedule
+passSchedule()
+{
+    SampleSchedule sched;
+    sched.intervals = 4;
+    sched.period = 20'000;
+    sched.gap = 15'000;
+    sched.ramp = 2'500;
+    sched.measure = 2'500;
+    return sched;
+}
+
+std::uint64_t
+passRecords()
+{
+    return kPassWarms[3] + passSchedule().spanRecords();
+}
+
+/** One arena shared by every pass test (built once). */
+const MaterializedTrace &
+passArena()
+{
+    static const std::shared_ptr<const MaterializedTrace> arena =
+        materialize(passRecords(), 11);
+    return *arena;
+}
+
+const CacheHierarchy::Config &
+passConfig()
+{
+    static const CacheHierarchy::Config cfg =
+        Experiment::Config{}.pod.hierarchy;
+    return cfg;
+}
+
+void
+expectCacheSnapshotsEqual(const SetAssocCache::Snapshot &a,
+                          const SetAssocCache::Snapshot &b,
+                          const std::string &what)
+{
+    EXPECT_EQ(a.keys, b.keys) << what;
+    ASSERT_EQ(a.meta.size(), b.meta.size()) << what;
+    for (std::size_t i = 0; i < a.meta.size(); ++i) {
+        ASSERT_EQ(a.meta[i].lastUse, b.meta[i].lastUse) << what;
+        ASSERT_EQ(a.meta[i].dirty, b.meta[i].dirty) << what;
+    }
+    EXPECT_EQ(a.tick, b.tick) << what;
+    EXPECT_EQ(a.randState, b.randState) << what;
+    EXPECT_EQ(a.hits, b.hits) << what;
+    EXPECT_EQ(a.misses, b.misses) << what;
+    EXPECT_EQ(a.evictions, b.evictions) << what;
+    EXPECT_EQ(a.writebacks, b.writebacks) << what;
+}
+
+void
+expectSnapshotsEqual(const CacheHierarchy::Snapshot &a,
+                     const CacheHierarchy::Snapshot &b,
+                     const std::string &what)
+{
+    ASSERT_EQ(a.l1d.size(), b.l1d.size()) << what;
+    for (std::size_t i = 0; i < a.l1d.size(); ++i)
+        expectCacheSnapshotsEqual(a.l1d[i], b.l1d[i],
+                                  what + " l1d" + std::to_string(i));
+    expectCacheSnapshotsEqual(a.l2, b.l2, what + " l2");
+    EXPECT_EQ(a.l1Presence, b.l1Presence) << what;
+    EXPECT_EQ(a.l1Hits, b.l1Hits) << what;
+    EXPECT_EQ(a.l1Misses, b.l1Misses) << what;
+    EXPECT_EQ(a.l2Hits, b.l2Hits) << what;
+    EXPECT_EQ(a.l2Misses, b.l2Misses) << what;
+    EXPECT_EQ(a.llcWritebacks, b.llcWritebacks) << what;
+}
+
+void
+expectOpsEqual(const PostL2Ops &a, const PostL2Ops &b,
+               const std::string &what)
+{
+    EXPECT_EQ(a.paddr, b.paddr) << what;
+    EXPECT_EQ(a.pc, b.pc) << what;
+    EXPECT_EQ(a.coreId, b.coreId) << what;
+    EXPECT_EQ(a.kind, b.kind) << what;
+}
+
+void
+expectWarmEqual(const WarmupArtifact &a, const WarmupArtifact &b,
+                const std::string &what)
+{
+    expectOpsEqual(a, b, what);
+    EXPECT_EQ(a.records, b.records) << what;
+    EXPECT_EQ(a.instructions, b.instructions) << what;
+    EXPECT_EQ(a.hierarchyBytes, b.hierarchyBytes) << what;
+    expectSnapshotsEqual(a.hierarchy, b.hierarchy, what);
+}
+
+void
+expectSpanEqual(const SampleSpanArtifact &a,
+                const SampleSpanArtifact &b, const std::string &what)
+{
+    expectOpsEqual(a, b, what);
+    EXPECT_EQ(a.schedule.intervals, b.schedule.intervals) << what;
+    EXPECT_EQ(a.schedule.period, b.schedule.period) << what;
+    EXPECT_EQ(a.schedule.gap, b.schedule.gap) << what;
+    EXPECT_EQ(a.opGapEnd, b.opGapEnd) << what;
+    EXPECT_EQ(a.opPeriodEnd, b.opPeriodEnd) << what;
+    EXPECT_EQ(a.gapInstructions, b.gapInstructions) << what;
+    EXPECT_EQ(a.hierarchyBytes, b.hierarchyBytes) << what;
+    ASSERT_EQ(a.hierarchyAtTimedStart.size(),
+              b.hierarchyAtTimedStart.size())
+        << what;
+    for (std::size_t i = 0; i < a.hierarchyAtTimedStart.size(); ++i)
+        expectSnapshotsEqual(a.hierarchyAtTimedStart[i],
+                             b.hierarchyAtTimedStart[i],
+                             what + " period " + std::to_string(i));
+}
+
+/** Standalone builder output for every window (built once). */
+struct StandaloneArtifacts
+{
+    std::vector<std::shared_ptr<const WarmupArtifact>> warm;
+    std::vector<std::shared_ptr<const SampleSpanArtifact>> span;
+};
+
+const StandaloneArtifacts &
+standalone()
+{
+    static const StandaloneArtifacts built = [] {
+        StandaloneArtifacts out;
+        for (std::uint64_t w : kPassWarms) {
+            out.warm.push_back(PodSystem::buildWarmupArtifact(
+                passArena(), passConfig(), w));
+            out.span.push_back(PodSystem::buildSampleSpanArtifact(
+                passArena(), passConfig(), *out.warm.back(), w,
+                passSchedule()));
+        }
+        return out;
+    }();
+    return built;
+}
+
+/**
+ * Request artifacts in @p order ("w<i>" / "s<i>") from one shared
+ * pass and check each against the standalone builders.
+ */
+void
+checkOrder(const std::vector<std::string> &order)
+{
+    HierarchyPass pass(passConfig());
+    for (std::uint64_t w : kPassWarms) {
+        pass.planWarmup(w);
+        pass.planSpan(w, passSchedule());
+    }
+    for (const std::string &req : order) {
+        const std::size_t i = static_cast<std::size_t>(req[1] - '0');
+        const std::uint64_t w = kPassWarms[i];
+        if (req[0] == 'w') {
+            auto art = pass.cutWarmup(passArena(), w);
+            ASSERT_NE(art, nullptr) << req;
+            expectWarmEqual(*art, *standalone().warm[i], req);
+            // Taken: a second cut is refused.
+            EXPECT_EQ(pass.cutWarmup(passArena(), w), nullptr);
+        } else {
+            auto art = pass.cutSpan(passArena(), w, passSchedule());
+            ASSERT_NE(art, nullptr) << req;
+            expectSpanEqual(*art, *standalone().span[i], req);
+            EXPECT_EQ(pass.cutSpan(passArena(), w, passSchedule()),
+                      nullptr);
+        }
+    }
+}
+
+TEST(HierarchyPass, StandaloneBuildersMatchRecordByRecordReference)
+{
+    // Independent reference: the hierarchy run one record at a
+    // time, core = (record / burst) % cores, recording the op
+    // count, instructions and hierarchy state at every cut.
+    const MaterializedTrace &trace = passArena();
+    const CacheHierarchy::Config &cfg = passConfig();
+    const SampleSchedule sched = passSchedule();
+    std::set<std::uint64_t> cuts;
+    for (std::uint64_t w : kPassWarms) {
+        cuts.insert(w);
+        for (unsigned p = 0; p <= sched.intervals; ++p) {
+            cuts.insert(w + p * sched.period);
+            cuts.insert(w + p * sched.period + sched.gap);
+        }
+    }
+    struct At
+    {
+        std::uint64_t op, instructions;
+        CacheHierarchy::Snapshot state;
+    };
+    std::map<std::uint64_t, At> at;
+    PostL2Ops ops;
+    CacheHierarchy h(cfg);
+    std::uint64_t instructions = 0;
+    for (std::uint64_t r = 0; r <= passRecords(); ++r) {
+        if (cuts.count(r)) {
+            At &a = at[r];
+            a.op = ops.paddr.size();
+            a.instructions = instructions;
+            h.saveState(a.state);
+        }
+        if (r == passRecords())
+            break;
+        const MaterializedTrace::ChunkView c =
+            trace.chunk(r / MaterializedTrace::kChunkRecords);
+        const std::size_t i = r % MaterializedTrace::kChunkRecords;
+        MemRequest req;
+        req.paddr = c.paddr[i];
+        req.pc = c.pc[i];
+        req.op = static_cast<MemOp>(c.op[i]);
+        req.coreId = static_cast<std::uint16_t>(
+            (r / PodSystem::kDispatchBurst) % cfg.numCores);
+        instructions += c.gap[i] + 1;
+        const HierarchyOutcome out = h.access(req);
+        if (!out.l1Hit && !out.l2Hit) {
+            ops.paddr.push_back(req.paddr);
+            ops.pc.push_back(req.pc);
+            ops.coreId.push_back(req.coreId);
+            ops.kind.push_back(req.op == MemOp::Write
+                                   ? PostL2Ops::kWrite
+                                   : PostL2Ops::kRead);
+        }
+        for (unsigned wb = 0; wb < out.numWritebacks; ++wb) {
+            ops.paddr.push_back(out.writebackAddr[wb]);
+            ops.pc.push_back(0);
+            ops.coreId.push_back(req.coreId);
+            ops.kind.push_back(PostL2Ops::kWriteback);
+        }
+    }
+    const auto slice = [&](std::uint64_t b, std::uint64_t e) {
+        PostL2Ops out;
+        out.paddr.assign(ops.paddr.begin() + b, ops.paddr.begin() + e);
+        out.pc.assign(ops.pc.begin() + b, ops.pc.begin() + e);
+        out.coreId.assign(ops.coreId.begin() + b,
+                          ops.coreId.begin() + e);
+        out.kind.assign(ops.kind.begin() + b, ops.kind.begin() + e);
+        return out;
+    };
+
+    for (std::size_t i = 0; i < std::size(kPassWarms); ++i) {
+        const std::uint64_t w = kPassWarms[i];
+        const std::string what = "window " + std::to_string(w);
+        const WarmupArtifact &warm = *standalone().warm[i];
+        expectOpsEqual(warm, slice(0, at[w].op), what);
+        EXPECT_EQ(warm.records, w);
+        EXPECT_EQ(warm.instructions, at[w].instructions) << what;
+        expectSnapshotsEqual(warm.hierarchy, at[w].state, what);
+
+        const SampleSpanArtifact &span = *standalone().span[i];
+        const std::uint64_t base = at[w].op;
+        expectOpsEqual(
+            span, slice(base, at[w + sched.spanRecords()].op), what);
+        ASSERT_EQ(span.opGapEnd.size(), sched.intervals) << what;
+        for (unsigned p = 0; p < sched.intervals; ++p) {
+            const std::uint64_t start = w + p * sched.period;
+            const std::uint64_t gap_end = start + sched.gap;
+            EXPECT_EQ(span.opGapEnd[p], at[gap_end].op - base);
+            EXPECT_EQ(span.opPeriodEnd[p],
+                      at[start + sched.period].op - base);
+            EXPECT_EQ(span.gapInstructions[p],
+                      at[gap_end].instructions -
+                          at[start].instructions);
+            expectSnapshotsEqual(span.hierarchyAtTimedStart[p],
+                                 at[gap_end].state, what);
+        }
+    }
+}
+
+TEST(HierarchyPass, AscendingCutsMatchStandalone)
+{
+    // The sweep's order: each window, then its span. Window 0's
+    // span [1.00M, 1.08M) crosses the warm cuts of windows 1 and
+    // 2 and the arena's chunk boundary.
+    ASSERT_GT(kPassWarms[0] + passSchedule().spanRecords(),
+              kPassWarms[2]);
+    ASSERT_GT(kPassWarms[2], MaterializedTrace::kChunkRecords);
+    checkOrder({"w0", "s0", "w1", "s1", "w2", "s2", "w3", "s3"});
+}
+
+TEST(HierarchyPass, DescendingCutsMatchStandalone)
+{
+    // Everything below the first request is stashed on the way.
+    checkOrder({"s3", "w3", "s2", "w2", "s1", "w1", "s0", "w0"});
+}
+
+TEST(HierarchyPass, InterleavedCutsMatchStandalone)
+{
+    checkOrder({"w1", "s0", "w3", "w0", "s2", "s3", "w2", "s1"});
+}
+
+TEST(HierarchyPass, RefusesUnplannedCuts)
+{
+    HierarchyPass pass(passConfig());
+    pass.planWarmup(kPassWarms[1]);
+    EXPECT_EQ(pass.cutWarmup(passArena(), kPassWarms[0]), nullptr);
+    EXPECT_EQ(pass.cutSpan(passArena(), kPassWarms[1],
+                           passSchedule()),
+              nullptr);
+    auto art = pass.cutWarmup(passArena(), kPassWarms[1]);
+    ASSERT_NE(art, nullptr);
+    expectWarmEqual(*art, *standalone().warm[1], "window 1");
+    // Every planned cut taken: the pass has retired.
+    EXPECT_EQ(pass.cutWarmup(passArena(), kPassWarms[1]), nullptr);
+}
+
+TEST(HierarchyPass, ConcurrentAcquiresCutEachArtifactOnce)
+{
+    // Four threads acquire every artifact through one TraceCache
+    // in different orders; each key is built once, by whichever
+    // thread wins it, from the one shared pass.
+    TraceCache cache(std::uint64_t{4} << 30);
+    HierarchyPass pass(passConfig());
+    const SampleSchedule sched = passSchedule();
+    constexpr int kThreads = 4;
+    for (std::uint64_t w : kPassWarms) {
+        pass.planWarmup(w);
+        pass.planSpan(w, sched);
+        cache.plan("warmup/" + std::to_string(w), w, kThreads);
+        cache.plan("sample/" + std::to_string(w), w, kThreads);
+    }
+    std::atomic<int> refused{0};
+    std::vector<std::vector<TraceCache::EntryPtr>> got(kThreads);
+    std::vector<std::thread> pool;
+    for (int t = 0; t < kThreads; ++t) {
+        pool.emplace_back([&, t] {
+            for (int k = 0; k < 8; ++k) {
+                const int j = (k + 3 * t) % 8;
+                const std::uint64_t w = kPassWarms[j / 2];
+                const bool warm = j % 2 == 0;
+                got[t].push_back(cache.acquire(
+                    (warm ? "warmup/" : "sample/") +
+                        std::to_string(w),
+                    w, [&](std::uint64_t) -> TraceCache::EntryPtr {
+                        TraceCache::EntryPtr e;
+                        if (warm)
+                            e = pass.cutWarmup(passArena(), w);
+                        else
+                            e = pass.cutSpan(passArena(), w, sched);
+                        if (!e)
+                            ++refused;
+                        return e ? e
+                                 : std::make_shared<FakeEntry>(1);
+                    }));
+            }
+        });
+    }
+    for (auto &th : pool)
+        th.join();
+    ASSERT_EQ(refused.load(), 0);
+    const TraceCacheStats stats = cache.stats();
+    EXPECT_EQ(stats.misses, 8u);
+    double by_kind = 0.0;
+    for (const auto &[kind, seconds] : stats.buildSecondsByKind) {
+        EXPECT_TRUE(kind == "warmup" || kind == "sample") << kind;
+        by_kind += seconds;
+    }
+    EXPECT_NEAR(by_kind, stats.buildSeconds, 1e-9);
+    for (int t = 0; t < kThreads; ++t) {
+        for (int k = 0; k < 8; ++k) {
+            const int j = (k + 3 * t) % 8;
+            const std::string what = "thread " + std::to_string(t) +
+                                     " artifact " + std::to_string(j);
+            if (j % 2 == 0)
+                expectWarmEqual(
+                    *std::static_pointer_cast<const WarmupArtifact>(
+                        got[t][k]),
+                    *standalone().warm[j / 2], what);
+            else
+                expectSpanEqual(
+                    *std::static_pointer_cast<
+                        const SampleSpanArtifact>(got[t][k]),
+                    *standalone().span[j / 2], what);
+        }
+    }
 }
 
 } // namespace
