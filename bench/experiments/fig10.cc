@@ -60,9 +60,9 @@ registerFig10(ExperimentRegistry &reg)
             const double base_epi = b.offchipEnergyPerInstr();
             for (std::size_t d = 0; d < stride; ++d) {
                 const RunMetrics &m = results[o + d].metrics;
-                const double act = m.offchipActPreNj /
+                const double act = m.offchipActPreNj() /
                                    m.instructions / base_epi;
-                const double burst = m.offchipBurstNj /
+                const double burst = m.offchipBurstNj() /
                                      m.instructions / base_epi;
                 totals[d].push_back(act + burst);
                 std::printf(

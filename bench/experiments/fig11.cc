@@ -58,9 +58,9 @@ registerFig11(ExperimentRegistry &reg)
             const double base_epi = b.stackedEnergyPerInstr();
             for (std::size_t d = 0; d < stride; ++d) {
                 const RunMetrics &m = results[o + d].metrics;
-                const double act = m.stackedActPreNj /
+                const double act = m.stackedActPreNj() /
                                    m.instructions / base_epi;
-                const double burst = m.stackedBurstNj /
+                const double burst = m.stackedBurstNj() /
                                      m.instructions / base_epi;
                 totals[d].push_back(act + burst);
                 std::printf(

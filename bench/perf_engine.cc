@@ -284,72 +284,18 @@ runTelemetryRep(WorkloadKind wk, double scale, std::uint64_t seed,
     return out;
 }
 
-bool
-metricsIdentical(const RunMetrics &x, const RunMetrics &y)
-{
-    return x.instructions == y.instructions &&
-           x.cycles == y.cycles &&
-           x.traceRecords == y.traceRecords &&
-           x.llcMisses == y.llcMisses &&
-           x.demandAccesses == y.demandAccesses &&
-           x.demandHits == y.demandHits &&
-           x.memLatencyCycles == y.memLatencyCycles &&
-           x.offchipBytes == y.offchipBytes &&
-           x.stackedBytes == y.stackedBytes &&
-           x.offchipActs == y.offchipActs &&
-           x.stackedActs == y.stackedActs;
-}
-
-/** Do the probe-column deltas telescope to the aggregate? */
-bool
-probesConserve(const TelemetryRep &rep)
-{
-    if (rep.metrics.probeValues.empty() ||
-        rep.intervals.empty())
-        return false;
-    std::vector<std::uint64_t> sum(
-        rep.metrics.probeValues.size(), 0);
-    for (const IntervalSample &s : rep.intervals) {
-        if (s.probeValues.size() != sum.size())
-            return false;
-        for (std::size_t c = 0; c < sum.size(); ++c)
-            sum[c] += s.probeValues[c];
-    }
-    return sum == rep.metrics.probeValues;
-}
-
-/** Do the interval deltas sum bit-exactly to the aggregate? */
+/** Do the interval deltas — every counter and probe column —
+ * sum bit-exactly to the aggregate? */
 bool
 intervalsConserve(const TelemetryRep &rep)
 {
     if (rep.intervals.empty())
         return false;
     IntervalSample sum;
-    for (const IntervalSample &s : rep.intervals) {
-        sum.records += s.records;
-        sum.instructions += s.instructions;
-        sum.cycles += s.cycles;
-        sum.llcMisses += s.llcMisses;
-        sum.demandAccesses += s.demandAccesses;
-        sum.demandHits += s.demandHits;
-        sum.memLatencyCycles += s.memLatencyCycles;
-        sum.offchipBytes += s.offchipBytes;
-        sum.stackedBytes += s.stackedBytes;
-        sum.offchipActs += s.offchipActs;
-        sum.stackedActs += s.stackedActs;
-    }
-    const RunMetrics &m = rep.metrics;
-    return sum.records == m.traceRecords &&
-           sum.instructions == m.instructions &&
-           sum.cycles == static_cast<std::uint64_t>(m.cycles) &&
-           sum.llcMisses == m.llcMisses &&
-           sum.demandAccesses == m.demandAccesses &&
-           sum.demandHits == m.demandHits &&
-           sum.memLatencyCycles == m.memLatencyCycles &&
-           sum.offchipBytes == m.offchipBytes &&
-           sum.stackedBytes == m.stackedBytes &&
-           sum.offchipActs == m.offchipActs &&
-           sum.stackedActs == m.stackedActs;
+    for (const IntervalSample &s : rep.intervals)
+        sum += s;
+    return countersEqual(sum, rep.metrics) &&
+           sum.probeValues == rep.metrics.probeValues;
 }
 
 /** Exact-vs-sampled twins of one footprint point (runPoint). */
@@ -421,21 +367,9 @@ runSamplingBench(WorkloadKind wk, double scale,
         samplingExtra(out.sampled, "sampled_intervals"));
 
     const RunMetrics &m = out.exact.metrics;
-    const double exact_derived[4] = {
-        m.cycles ? static_cast<double>(m.instructions) / m.cycles
-                 : 0.0,
-        m.demandAccesses
-            ? static_cast<double>(m.demandAccesses -
-                                  m.demandHits) /
-                  m.demandAccesses
-            : 0.0,
-        m.demandAccesses
-            ? static_cast<double>(m.memLatencyCycles) /
-                  m.demandAccesses
-            : 0.0,
-        m.cycles ? static_cast<double>(m.offchipBytes) /
-                       (static_cast<double>(m.cycles) / 3.0)
-                 : 0.0};
+    const double exact_derived[4] = {m.ipc(), m.missRatio(),
+                                     m.avgAccessLatencyCycles(),
+                                     m.offchipBandwidthGBps()};
     const char *names[4] = {"ipc", "miss_ratio", "avg_latency",
                             "offchip_gbps"};
     for (int i = 0; i < 4; ++i) {
@@ -454,18 +388,7 @@ runSamplingBench(WorkloadKind wk, double scale,
 bool
 measuredIdentical(const PhaseTimes &a, const PhaseTimes &b)
 {
-    const RunMetrics &x = a.metrics;
-    const RunMetrics &y = b.metrics;
-    return x.instructions == y.instructions &&
-           x.cycles == y.cycles &&
-           x.traceRecords == y.traceRecords &&
-           x.llcMisses == y.llcMisses &&
-           x.demandAccesses == y.demandAccesses &&
-           x.demandHits == y.demandHits &&
-           x.offchipBytes == y.offchipBytes &&
-           x.stackedBytes == y.stackedBytes &&
-           x.offchipActs == y.offchipActs &&
-           x.stackedActs == y.stackedActs &&
+    return countersEqual(a.metrics, b.metrics) &&
            a.covered == b.covered && a.underpred == b.underpred &&
            a.overpred == b.overpred &&
            a.trigMisses == b.trigMisses;
@@ -681,15 +604,15 @@ main(int argc, char **argv)
             intro_min = intro.measureSeconds;
         telemetry_identical =
             telemetry_identical &&
-            metricsIdentical(off.metrics, on.metrics);
+            countersEqual(off.metrics, on.metrics);
         telemetry_conserves =
             telemetry_conserves && intervalsConserve(on);
         intro_identical =
             intro_identical &&
-            metricsIdentical(off.metrics, intro.metrics);
+            countersEqual(off.metrics, intro.metrics);
         intro_conserves = intro_conserves &&
-                          intervalsConserve(intro) &&
-                          probesConserve(intro);
+                          !intro.metrics.probeValues.empty() &&
+                          intervalsConserve(intro);
     }
     const double telemetry_overhead_pct =
         telemetry_off_min > 0.0

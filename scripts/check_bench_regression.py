@@ -54,6 +54,8 @@ import argparse
 import json
 import sys
 
+from counters import TENANT
+
 
 def ns_per_record(design_entry):
     f = design_entry["functional"]
@@ -64,16 +66,10 @@ def ns_per_record(design_entry):
     return 1e9 * seconds / records
 
 
-# Per-tenant counters that must sum bit-exactly to the aggregate
-# metric of the same point (tests/test_tenant.cc proves the same
-# invariant in-process; this guards the shipped artifact).
-CONSERVED_FIELDS = [
-    "trace_records", "instructions", "llc_misses",
-    "demand_accesses", "demand_hits", "mem_latency_cycles",
-    "offchip_bytes",
-]
-
-
+# Every per-tenant counter (counters.TENANT) must sum bit-exactly
+# to the aggregate metric of the same point (tests/test_tenant.cc
+# proves the same invariant in-process; this guards the shipped
+# artifact).
 def check_colocation(path, min_pairs, min_designs):
     with open(path) as f:
         report = json.load(f)
@@ -96,7 +92,7 @@ def check_colocation(path, min_pairs, min_designs):
             pairs.add(p["key"].split("/")[1])
             designs.add(p["design"])
         m = p["metrics"]
-        for field in CONSERVED_FIELDS:
+        for field in TENANT:
             total = sum(t[field] for t in tenants)
             if total != m[field]:
                 print(f"{p['key']}: tenant {field} sum {total} "

@@ -29,8 +29,8 @@ Four independent checks, each optional:
     split conserves.
 
 --journal DIR
-    v4 journal integrity: every *.pt entry in the directory must
-    open with the "fpcjournal 4" magic, name its point key, and
+    v5 journal integrity: every *.pt entry in the directory must
+    open with the "fpcjournal 5" magic, name its point key, and
     terminate with the "end" sentinel — the structural contract
     `sweep --resume` relies on (the bit-exact round-trip itself is
     proven by tests/test_introspection.cc and CI's resume
@@ -58,28 +58,10 @@ import json
 import os
 import sys
 
-# timeseries column -> merged-report metrics key. The cycles of a
-# point accumulate across epochs exactly like every other integer
-# field (the engine's snapshot deltas telescope).
-AGGREGATE_COLUMNS = {
-    "records": "trace_records",
-    "instructions": "instructions",
-    "cycles": "cycles",
-    "llc_misses": "llc_misses",
-    "demand_accesses": "demand_accesses",
-    "demand_hits": "demand_hits",
-    "mem_latency_cycles": "mem_latency_cycles",
-    "offchip_bytes": "offchip_bytes",
-    "stacked_bytes": "stacked_bytes",
-    "offchip_acts": "offchip_acts",
-    "stacked_acts": "stacked_acts",
-}
+from counters import METRICS, TENANT, series_column
 
-TENANT_COLUMNS = [
-    "trace_records", "instructions", "llc_misses",
-    "demand_accesses", "demand_hits", "mem_latency_cycles",
-    "offchip_bytes",
-]
+# Journal format check_journal accepts (src/sim/journal.cc kMagic).
+JOURNAL_MAGIC = "fpcjournal 5"
 
 
 def load(path):
@@ -134,7 +116,8 @@ def check_timeseries(ts_path, report_path):
             violations += 1
             continue
         metrics = point["metrics"]
-        for col, agg in AGGREGATE_COLUMNS.items():
+        for agg in METRICS:
+            col = series_column(agg)
             total = sum(cols[col])
             if total != metrics[agg]:
                 print(f"{key}: sum({col}) = {total} != "
@@ -162,7 +145,7 @@ def check_timeseries(ts_path, report_path):
                 print(f"{key}: tenant {t} missing from report")
                 violations += 1
                 continue
-            for col in TENANT_COLUMNS:
+            for col in TENANT:
                 total = sum(tseries["columns"][col])
                 if total != tpoint[t][col]:
                     print(f"{key}: tenant {t} sum({col}) = "
@@ -267,7 +250,7 @@ def check_heatmap(heatmap_path, report_path):
 
 
 def check_journal(journal_dir):
-    magic = "fpcjournal 4"
+    magic = JOURNAL_MAGIC
     entries = 0
     violations = 0
     try:
@@ -294,7 +277,7 @@ def check_journal(journal_dir):
             print(f"{name}: missing end sentinel (truncated?)")
             violations += 1
         entries += 1
-    print(f"journal guard: {entries} v4 entrie(s) in "
+    print(f"journal guard: {entries} v5 entrie(s) in "
           f"{journal_dir}")
     if entries == 0:
         print("FAIL: no journal entries to check")
@@ -302,7 +285,7 @@ def check_journal(journal_dir):
     if violations:
         print(f"FAIL: {violations} journal violation(s)")
         return 1
-    print("OK: every journal entry is v4 and complete")
+    print("OK: every journal entry is v5 and complete")
     return 0
 
 

@@ -7,9 +7,8 @@
 namespace fpc {
 
 DramChannel::DramChannel(const DramTimingParams &timing,
-                         const DramEnergyParams &energy,
                          std::string name)
-    : timing_(timing), energy_(energy), stats_(std::move(name))
+    : timing_(timing), stats_(std::move(name))
 {
     FPC_ASSERT(isPowerOf2(timing_.rowBytes));
     row_shift_ = floorLog2(timing_.rowBytes);
@@ -28,10 +27,6 @@ DramChannel::DramChannel(const DramTimingParams &timing,
                       "64B blocks written");
     stats_.regCounter(&bus_busy_, "bus_busy_cycles",
                       "cycles the data bus transferred");
-    stats_.regAccum(&e_actpre_, "energy_actpre_nj",
-                    "activate/precharge dynamic energy (nJ)");
-    stats_.regAccum(&e_burst_, "energy_burst_nj",
-                    "read/write burst dynamic energy (nJ)");
 }
 
 Cycle
@@ -59,7 +54,6 @@ DramChannel::recordActivate(Cycle t)
     recent_act_head_ = (recent_act_head_ + 1) % 4;
     last_act_at_ = t;
     acts_.inc();
-    e_actpre_.add(energy_.actPreNj);
 }
 
 Cycle
@@ -133,7 +127,6 @@ DramChannel::casBurst(Bank &bank, unsigned bank_idx, Cycle when,
         blocks_wr_.inc(blocks);
         if (!bank_wr_.empty())
             bank_wr_[bank_idx] += blocks;
-        e_burst_.add(energy_.writeBlockNj * blocks);
         // Write recovery gates the next precharge. The anchor is
         // the logical service time, not a bus-delayed completion:
         // otherwise buffered writes would couple transient bus
@@ -146,7 +139,6 @@ DramChannel::casBurst(Bank &bank, unsigned bank_idx, Cycle when,
         blocks_rd_.inc(blocks);
         if (!bank_rd_.empty())
             bank_rd_[bank_idx] += blocks;
-        e_burst_.add(energy_.readBlockNj * blocks);
         bank.nextPreAllowed = std::max(bank.nextPreAllowed,
                                        cas_at + timing_.tRTP);
     }

@@ -4,8 +4,9 @@
  *
  * Models per-bank row-buffer state (open row, activate/precharge
  * windows), rank-level tRRD/tFAW activation constraints, data-bus
- * occupancy, write-to-read turnaround, open/closed page policies,
- * and dynamic energy (activate/precharge vs read/write bursts).
+ * occupancy, write-to-read turnaround and open/closed page
+ * policies. Dynamic energy follows from the activate and block
+ * counters (DramEnergyParams::energyNj).
  *
  * The model is *reservation based*: callers present accesses in
  * nondecreasing time order (guaranteed by the event-ordered run
@@ -45,8 +46,7 @@ struct DramAccessResult
 class DramChannel
 {
   public:
-    DramChannel(const DramTimingParams &timing,
-                const DramEnergyParams &energy, std::string name);
+    DramChannel(const DramTimingParams &timing, std::string name);
 
     /**
      * Perform a burst of @p num_blocks consecutive 64B column
@@ -87,9 +87,6 @@ class DramChannel
 
     /** Cycles the data bus spent transferring. */
     std::uint64_t busBusyCycles() const { return bus_busy_.value(); }
-
-    double actPreEnergyNj() const { return e_actpre_.value(); }
-    double burstEnergyNj() const { return e_burst_.value(); }
 
     /** Mean read wait on bank readiness (diagnostics). */
     double
@@ -219,7 +216,6 @@ class DramChannel
                             bool is_write);
 
     DramTimingParams timing_;
-    DramEnergyParams energy_;
 
     /** floorLog2(rowBytes); rows are a power of two. */
     unsigned row_shift_;
@@ -253,8 +249,6 @@ class DramChannel
     Counter blocks_rd_;
     Counter blocks_wr_;
     Counter bus_busy_;
-    Accum e_actpre_;
-    Accum e_burst_;
 };
 
 } // namespace fpc

@@ -15,7 +15,6 @@ DramSystem::Config::offchipPod()
     // 16-32GB per pod (Table 3) implies at least two ranks on the
     // channel: 16 banks of scheduling headroom.
     cfg.timing.numBanks = 16;
-    cfg.energy = DramEnergyParams::offchipDdr3();
     cfg.numChannels = 1;
     cfg.interleaveBytes = kBlockBytes;
     cfg.name = "offchip";
@@ -27,7 +26,6 @@ DramSystem::Config::stackedPod()
 {
     Config cfg;
     cfg.timing = DramTimingParams::ddr3_3200_stacked();
-    cfg.energy = DramEnergyParams::stackedDram();
     cfg.numChannels = 4;
     cfg.interleaveBytes = 2048;
     cfg.name = "stacked";
@@ -47,8 +45,7 @@ DramSystem::DramSystem(const Config &config) : config_(config)
         channels_pow2_ ? floorLog2(config_.numChannels) : 0;
     for (unsigned c = 0; c < config_.numChannels; ++c) {
         channels_.push_back(std::make_unique<DramChannel>(
-            config_.timing, config_.energy,
-            config_.name + ".ch" + std::to_string(c)));
+            config_.timing, config_.name + ".ch" + std::to_string(c)));
     }
 }
 
@@ -193,24 +190,6 @@ DramSystem::totalBytes() const
     std::uint64_t total = 0;
     for (const auto &ch : channels_)
         total += ch->bytesTransferred();
-    return total;
-}
-
-double
-DramSystem::totalActPreEnergyNj() const
-{
-    double total = 0.0;
-    for (const auto &ch : channels_)
-        total += ch->actPreEnergyNj();
-    return total;
-}
-
-double
-DramSystem::totalBurstEnergyNj() const
-{
-    double total = 0.0;
-    for (const auto &ch : channels_)
-        total += ch->burstEnergyNj();
     return total;
 }
 

@@ -27,7 +27,6 @@ class DramSystem
     struct Config
     {
         DramTimingParams timing;
-        DramEnergyParams energy;
         unsigned numChannels = 1;
         /** Consecutive-address interleave granularity (bytes). */
         unsigned interleaveBytes = kBlockBytes;
@@ -129,8 +128,6 @@ class DramSystem
     std::uint64_t totalBlocksRead() const;
     std::uint64_t totalBlocksWritten() const;
     std::uint64_t totalBytes() const;
-    double totalActPreEnergyNj() const;
-    double totalBurstEnergyNj() const;
 
     double
     peakBandwidthGBps() const

@@ -96,24 +96,4 @@ DramTimingParams::peakBandwidthGBps() const
     return static_cast<double>(busBytes) * 2.0 * busClockMhz / 1000.0;
 }
 
-DramEnergyParams
-DramEnergyParams::offchipDdr3()
-{
-    DramEnergyParams e;
-    e.actPreNj = 2.0;
-    e.readBlockNj = 1.1;
-    e.writeBlockNj = 1.1;
-    return e;
-}
-
-DramEnergyParams
-DramEnergyParams::stackedDram()
-{
-    DramEnergyParams e;
-    e.actPreNj = 1.1;
-    e.readBlockNj = 0.35;
-    e.writeBlockNj = 0.35;
-    return e;
-}
-
 } // namespace fpc

@@ -101,23 +101,55 @@ struct DramTimingParams
     double peakBandwidthGBps() const;
 };
 
-/** Per-operation DRAM dynamic energy (nJ), Micron-style model. */
+/**
+ * Per-operation DRAM dynamic energy (nJ), Micron-style model.
+ *
+ * Reads and writes cost the same per 64B block in both presets,
+ * so a DRAM system's dynamic energy over any window follows from
+ * its activate and byte counts alone (energyNj).
+ */
 struct DramEnergyParams
 {
     /** Energy of one activate+precharge pair. */
     double actPreNj = 2.0;
 
-    /** Energy to read one 64B block (array + I/O). */
-    double readBlockNj = 1.1;
+    /** Energy to read or write one 64B block (array + I/O). */
+    double blockNj = 1.1;
 
-    /** Energy to write one 64B block (array + I/O). */
-    double writeBlockNj = 1.1;
+    /** Activate/precharge energy of @p acts activates. */
+    double
+    actPreEnergyNj(std::uint64_t acts) const
+    {
+        return static_cast<double>(acts) * actPreNj;
+    }
+
+    /** Burst energy of @p bytes moved over the data bus. */
+    double
+    burstEnergyNj(std::uint64_t bytes) const
+    {
+        return static_cast<double>(bytes / kBlockBytes) * blockNj;
+    }
+
+    /** Total dynamic energy of @p acts activates and @p bytes. */
+    double
+    energyNj(std::uint64_t acts, std::uint64_t bytes) const
+    {
+        return actPreEnergyNj(acts) + burstEnergyNj(bytes);
+    }
 
     /** Off-chip DDR3 energies (full-swing I/O, long channels). */
-    static DramEnergyParams offchipDdr3();
+    static constexpr DramEnergyParams
+    offchipDdr3()
+    {
+        return {2.0, 1.1};
+    }
 
     /** Stacked DRAM energies (short TSVs: much cheaper I/O). */
-    static DramEnergyParams stackedDram();
+    static constexpr DramEnergyParams
+    stackedDram()
+    {
+        return {1.1, 0.35};
+    }
 };
 
 } // namespace fpc

@@ -22,10 +22,13 @@ namespace {
 
 // v2 added the telemetry intervals section; v3 the sampled-mode
 // timing fields; v4 the introspection probe columns (names,
-// aggregate values, per-interval deltas) and the spatial heatmap.
-// Older entries fail the magic check and the point simply re-runs
-// — safe by design.
-constexpr const char *kMagic = "fpcjournal 4";
+// aggregate values, per-interval deltas) and the spatial heatmap;
+// v5 writes the aggregate and every interval as the same counter
+// block (kPodCounterFields order) and drops the energy line,
+// which is now derived from the act and byte counts. Older
+// entries fail the magic check and the point simply re-runs —
+// safe by design.
+constexpr const char *kMagic = "fpcjournal 5";
 constexpr const char *kSuffix = ".pt";
 
 /** FNV-1a (matches the sweep key hash). */
@@ -59,6 +62,14 @@ void
 appendDouble(std::string &out, double v)
 {
     appendFmt(out, "%a", v);
+}
+
+/** " v1 ... vn" */
+void
+appendU64s(std::string &out, const std::vector<std::uint64_t> &v)
+{
+    for (std::uint64_t x : v)
+        appendFmt(out, " %" PRIu64, x);
 }
 
 /** Length-prefixed raw string: survives newlines and any bytes
@@ -108,6 +119,27 @@ struct Reader
         return true;
     }
 
+    /** @p n u64s into @p out. */
+    bool
+    u64s(std::vector<std::uint64_t> &out, std::uint64_t n)
+    {
+        out.resize(n);
+        for (std::uint64_t &v : out) {
+            if (!u64(v))
+                return false;
+        }
+        return true;
+    }
+
+    /** "<tag> v1 ... vn" into @p out. */
+    bool
+    tagged(const char *tag, std::vector<std::uint64_t> &out,
+           std::uint64_t n)
+    {
+        skipSpace();
+        return literal(tag) && u64s(out, n);
+    }
+
     bool
     f64(double &out)
     {
@@ -148,6 +180,59 @@ struct Reader
         return true;
     }
 };
+
+/**
+ * One counter block: "<tag>" and every kPodCounterFields value,
+ * then the tenant slices and the probe values — the aggregate
+ * metrics and each interval share this layout.
+ */
+void
+appendCounters(std::string &out, const char *tag,
+               const PodCounters &c)
+{
+    out += '\n';
+    out += tag;
+    for (const auto &f : kPodCounterFields)
+        appendFmt(out, " %" PRIu64, c.*f.member);
+    appendFmt(out, "\ntenants %zu", c.tenants.size());
+    for (const TenantMetrics &t : c.tenants) {
+        out += "\ntenant";
+        for (const auto &f : kTenantCounterFields)
+            appendFmt(out, " %" PRIu64, t.*f.member);
+    }
+    appendFmt(out, "\nprobes %zu", c.probeValues.size());
+    appendU64s(out, c.probeValues);
+}
+
+/** Parse what appendCounters wrote. */
+bool
+readCounters(Reader &in, const char *tag, PodCounters &c)
+{
+    in.skipSpace();
+    if (!in.literal(tag))
+        return false;
+    for (const auto &f : kPodCounterFields) {
+        if (!in.u64(c.*f.member))
+            return false;
+    }
+    std::uint64_t count = 0;
+    in.skipSpace();
+    if (!in.literal("tenants") || !in.u64(count) || count > 4096)
+        return false;
+    c.tenants.resize(count);
+    for (TenantMetrics &t : c.tenants) {
+        in.skipSpace();
+        if (!in.literal("tenant"))
+            return false;
+        for (const auto &f : kTenantCounterFields) {
+            if (!in.u64(t.*f.member))
+                return false;
+        }
+    }
+    in.skipSpace();
+    return in.literal("probes") && in.u64(count) &&
+           count <= 1u << 16 && in.u64s(c.probeValues, count);
+}
 
 } // namespace
 
@@ -193,7 +278,6 @@ std::string
 SweepJournal::serialize(const ExperimentPoint &point,
                         const PointResult &r)
 {
-    const RunMetrics &m = r.metrics;
     std::string out;
     out += kMagic;
     out += "\nkey ";
@@ -206,33 +290,7 @@ SweepJournal::serialize(const ExperimentPoint &point,
     appendDouble(out, r.elapsedSeconds);
     out += "\nerror ";
     appendRaw(out, r.error);
-    appendFmt(out,
-              "\nmetrics %" PRIu64 " %" PRIu64 " %" PRIu64
-              " %" PRIu64 " %" PRIu64 " %" PRIu64 " %" PRIu64
-              " %" PRIu64 " %" PRIu64 " %" PRIu64 " %" PRIu64,
-              m.instructions,
-              static_cast<std::uint64_t>(m.cycles),
-              m.traceRecords, m.llcMisses, m.demandAccesses,
-              m.demandHits, m.memLatencyCycles, m.offchipBytes,
-              m.stackedBytes, m.offchipActs, m.stackedActs);
-    out += "\nenergy ";
-    appendDouble(out, m.offchipActPreNj);
-    out += " ";
-    appendDouble(out, m.offchipBurstNj);
-    out += " ";
-    appendDouble(out, m.stackedActPreNj);
-    out += " ";
-    appendDouble(out, m.stackedBurstNj);
-    appendFmt(out, "\ntenants %zu", m.tenants.size());
-    for (const TenantMetrics &t : m.tenants) {
-        appendFmt(out,
-                  "\ntenant %" PRIu64 " %" PRIu64 " %" PRIu64
-                  " %" PRIu64 " %" PRIu64 " %" PRIu64
-                  " %" PRIu64,
-                  t.traceRecords, t.instructions, t.llcMisses,
-                  t.demandAccesses, t.demandHits,
-                  t.memLatencyCycles, t.offchipBytes);
-    }
+    appendCounters(out, "metrics", r.metrics);
     appendFmt(out,
               "\nfootprint %u %" PRIu64 " %" PRIu64 " %" PRIu64
               " %" PRIu64 " %" PRIu64 " %" PRIu64,
@@ -240,8 +298,7 @@ SweepJournal::serialize(const ExperimentPoint &point,
               r.overpred, r.trigMisses, r.singletonBypasses,
               r.densityPages);
     appendFmt(out, "\ndensity %zu", r.densityBuckets.size());
-    for (std::uint64_t b : r.densityBuckets)
-        appendFmt(out, " %" PRIu64, b);
+    appendU64s(out, r.densityBuckets);
     appendFmt(out, "\nextras %zu", r.extra.size());
     for (const auto &[name, value] : r.extra) {
         out += "\nextra ";
@@ -265,42 +322,16 @@ SweepJournal::serialize(const ExperimentPoint &point,
     out += " ";
     appendDouble(out, r.timing.sampleTimedSeconds);
     appendFmt(out, "\nintervals %zu", r.intervals.size());
-    for (const IntervalSample &iv : r.intervals) {
-        appendFmt(out,
-                  "\ninterval %" PRIu64 " %" PRIu64 " %" PRIu64
-                  " %" PRIu64 " %" PRIu64 " %" PRIu64 " %" PRIu64
-                  " %" PRIu64 " %" PRIu64 " %" PRIu64 " %" PRIu64
-                  " %zu",
-                  iv.records, iv.instructions, iv.cycles,
-                  iv.llcMisses, iv.demandAccesses, iv.demandHits,
-                  iv.memLatencyCycles, iv.offchipBytes,
-                  iv.stackedBytes, iv.offchipActs,
-                  iv.stackedActs, iv.tenants.size());
-        for (const TenantMetrics &t : iv.tenants) {
-            appendFmt(out,
-                      "\nitenant %" PRIu64 " %" PRIu64 " %" PRIu64
-                      " %" PRIu64 " %" PRIu64 " %" PRIu64
-                      " %" PRIu64,
-                      t.traceRecords, t.instructions,
-                      t.llcMisses, t.demandAccesses,
-                      t.demandHits, t.memLatencyCycles,
-                      t.offchipBytes);
-        }
-        appendFmt(out, "\niprobe %zu", iv.probeValues.size());
-        for (std::uint64_t v : iv.probeValues)
-            appendFmt(out, " %" PRIu64, v);
-    }
-    // v4: introspection probe columns and the spatial heatmap, so
-    // a resumed sweep reproduces the --timeseries-out and
-    // --heatmap-out artifacts without re-running the point.
+    for (const IntervalSample &iv : r.intervals)
+        appendCounters(out, "interval", iv);
+    // Probe column names and the spatial heatmap, so a resumed
+    // sweep reproduces the --timeseries-out and --heatmap-out
+    // artifacts without re-running the point.
     appendFmt(out, "\nprobenames %zu", r.probeNames.size());
     for (const std::string &name : r.probeNames) {
         out += "\npname ";
         appendRaw(out, name);
     }
-    appendFmt(out, "\nprobevals %zu", m.probeValues.size());
-    for (std::uint64_t v : m.probeValues)
-        appendFmt(out, " %" PRIu64, v);
     const HeatmapData &hm = r.heatmap;
     appendFmt(out,
               "\nheatmap %u %" PRIu64 " %" PRIu64 " %zu",
@@ -310,8 +341,7 @@ SweepJournal::serialize(const ExperimentPoint &point,
                              const std::vector<std::uint64_t> &v) {
         out += "\n";
         out += tag;
-        for (std::uint64_t b : v)
-            appendFmt(out, " %" PRIu64, b);
+        appendU64s(out, v);
     };
     bins("haccess", hm.setAccess);
     bins("hconflict", hm.setConflict);
@@ -335,7 +365,6 @@ SweepJournal::parse(const std::string &text, std::string &key,
     Reader in{text};
     JournalEntry e;
     PointResult &r = e.result;
-    RunMetrics &m = r.metrics;
 
     if (!in.literal(kMagic) || !in.literal("\nkey "))
         return false;
@@ -358,38 +387,10 @@ SweepJournal::parse(const std::string &text, std::string &key,
     if (!in.literal("error ") || !in.raw(r.error))
         return false;
 
-    std::uint64_t cycles = 0;
-    in.skipSpace();
-    if (!in.literal("metrics") || !in.u64(m.instructions) ||
-        !in.u64(cycles) || !in.u64(m.traceRecords) ||
-        !in.u64(m.llcMisses) || !in.u64(m.demandAccesses) ||
-        !in.u64(m.demandHits) || !in.u64(m.memLatencyCycles) ||
-        !in.u64(m.offchipBytes) || !in.u64(m.stackedBytes) ||
-        !in.u64(m.offchipActs) || !in.u64(m.stackedActs))
-        return false;
-    m.cycles = cycles;
-    in.skipSpace();
-    if (!in.literal("energy") || !in.f64(m.offchipActPreNj) ||
-        !in.f64(m.offchipBurstNj) || !in.f64(m.stackedActPreNj) ||
-        !in.f64(m.stackedBurstNj))
+    if (!readCounters(in, "metrics", r.metrics))
         return false;
 
     std::uint64_t count = 0;
-    in.skipSpace();
-    if (!in.literal("tenants") || !in.u64(count) ||
-        count > 4096)
-        return false;
-    m.tenants.resize(count);
-    for (TenantMetrics &t : m.tenants) {
-        in.skipSpace();
-        if (!in.literal("tenant") || !in.u64(t.traceRecords) ||
-            !in.u64(t.instructions) || !in.u64(t.llcMisses) ||
-            !in.u64(t.demandAccesses) || !in.u64(t.demandHits) ||
-            !in.u64(t.memLatencyCycles) ||
-            !in.u64(t.offchipBytes))
-            return false;
-    }
-
     std::uint64_t has_fp = 0;
     in.skipSpace();
     if (!in.literal("footprint") || !in.u64(has_fp) ||
@@ -402,13 +403,8 @@ SweepJournal::parse(const std::string &text, std::string &key,
 
     in.skipSpace();
     if (!in.literal("density") || !in.u64(count) ||
-        count > 1u << 20)
+        count > 1u << 20 || !in.u64s(r.densityBuckets, count))
         return false;
-    r.densityBuckets.resize(count);
-    for (std::uint64_t &b : r.densityBuckets) {
-        if (!in.u64(b))
-            return false;
-    }
 
     in.skipSpace();
     if (!in.literal("extras") || !in.u64(count) ||
@@ -447,39 +443,8 @@ SweepJournal::parse(const std::string &text, std::string &key,
         return false;
     r.intervals.resize(count);
     for (IntervalSample &iv : r.intervals) {
-        std::uint64_t tenant_count = 0;
-        in.skipSpace();
-        if (!in.literal("interval") || !in.u64(iv.records) ||
-            !in.u64(iv.instructions) || !in.u64(iv.cycles) ||
-            !in.u64(iv.llcMisses) || !in.u64(iv.demandAccesses) ||
-            !in.u64(iv.demandHits) ||
-            !in.u64(iv.memLatencyCycles) ||
-            !in.u64(iv.offchipBytes) || !in.u64(iv.stackedBytes) ||
-            !in.u64(iv.offchipActs) || !in.u64(iv.stackedActs) ||
-            !in.u64(tenant_count) || tenant_count > 4096)
+        if (!readCounters(in, "interval", iv))
             return false;
-        iv.tenants.resize(tenant_count);
-        for (TenantMetrics &t : iv.tenants) {
-            in.skipSpace();
-            if (!in.literal("itenant") ||
-                !in.u64(t.traceRecords) ||
-                !in.u64(t.instructions) || !in.u64(t.llcMisses) ||
-                !in.u64(t.demandAccesses) ||
-                !in.u64(t.demandHits) ||
-                !in.u64(t.memLatencyCycles) ||
-                !in.u64(t.offchipBytes))
-                return false;
-        }
-        std::uint64_t probe_count = 0;
-        in.skipSpace();
-        if (!in.literal("iprobe") || !in.u64(probe_count) ||
-            probe_count > 1u << 16)
-            return false;
-        iv.probeValues.resize(probe_count);
-        for (std::uint64_t &v : iv.probeValues) {
-            if (!in.u64(v))
-                return false;
-        }
     }
 
     in.skipSpace();
@@ -492,15 +457,6 @@ SweepJournal::parse(const std::string &text, std::string &key,
         if (!in.literal("pname ") || !in.raw(name))
             return false;
     }
-    in.skipSpace();
-    if (!in.literal("probevals") || !in.u64(count) ||
-        count > 1u << 16)
-        return false;
-    m.probeValues.resize(count);
-    for (std::uint64_t &v : m.probeValues) {
-        if (!in.u64(v))
-            return false;
-    }
 
     HeatmapData &hm = r.heatmap;
     std::uint64_t hm_valid = 0, bin_count = 0;
@@ -511,22 +467,9 @@ SweepJournal::parse(const std::string &text, std::string &key,
         bin_count > 1u << 16)
         return false;
     hm.valid = hm_valid != 0;
-    const auto bins = [&in, bin_count](
-                          const char *tag,
-                          std::vector<std::uint64_t> &v) {
-        in.skipSpace();
-        if (!in.literal(tag))
-            return false;
-        v.resize(bin_count);
-        for (std::uint64_t &b : v) {
-            if (!in.u64(b))
-                return false;
-        }
-        return true;
-    };
-    if (!bins("haccess", hm.setAccess) ||
-        !bins("hconflict", hm.setConflict) ||
-        !bins("hoccupancy", hm.setOccupancy))
+    if (!in.tagged("haccess", hm.setAccess, bin_count) ||
+        !in.tagged("hconflict", hm.setConflict, bin_count) ||
+        !in.tagged("hoccupancy", hm.setOccupancy, bin_count))
         return false;
     in.skipSpace();
     if (!in.literal("hdrams") || !in.u64(count) || count > 64)
@@ -544,22 +487,9 @@ SweepJournal::parse(const std::string &text, std::string &key,
         if (!in.raw(g.name))
             return false;
         const std::uint64_t cells = channels * banks;
-        const auto cellsOf = [&in, cells](
-                                 const char *tag,
-                                 std::vector<std::uint64_t> &v) {
-            in.skipSpace();
-            if (!in.literal(tag))
-                return false;
-            v.resize(cells);
-            for (std::uint64_t &b : v) {
-                if (!in.u64(b))
-                    return false;
-            }
-            return true;
-        };
-        if (!cellsOf("hacts", g.activates) ||
-            !cellsOf("hreads", g.reads) ||
-            !cellsOf("hwrites", g.writes))
+        if (!in.tagged("hacts", g.activates, cells) ||
+            !in.tagged("hreads", g.reads, cells) ||
+            !in.tagged("hwrites", g.writes, cells))
             return false;
     }
 

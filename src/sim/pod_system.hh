@@ -30,7 +30,6 @@
 #ifndef FPC_SIM_POD_SYSTEM_HH
 #define FPC_SIM_POD_SYSTEM_HH
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -47,6 +46,7 @@
 #include "mem/materialized_trace.hh"
 #include "mem/trace.hh"
 #include "mem/trace_cache.hh"
+#include "sim/counters.hh"
 #include "sim/sampling.hh"
 #include "telemetry/introspection.hh"
 #include "telemetry/telemetry.hh"
@@ -135,108 +135,9 @@ struct PodConfig
         CacheHierarchy::Config::scaleOutPod();
 };
 
-/** Metric deltas over the measurement window. */
-struct RunMetrics
-{
-    std::uint64_t instructions = 0;
-    Cycle cycles = 0;
-    std::uint64_t traceRecords = 0;
-
-    std::uint64_t llcMisses = 0;
-    std::uint64_t demandAccesses = 0;
-    std::uint64_t demandHits = 0;
-
-    /**
-     * Summed memory-system latency of the measured window's
-     * demand accesses (issue at the memory system to critical
-     * block back at the L2), in cycles. Divided by
-     * demandAccesses this is the average DRAM-cache access
-     * latency the frontier experiment plots.
-     */
-    std::uint64_t memLatencyCycles = 0;
-
-    std::uint64_t offchipBytes = 0;
-    std::uint64_t stackedBytes = 0;
-    std::uint64_t offchipActs = 0;
-    std::uint64_t stackedActs = 0;
-
-    double offchipActPreNj = 0.0;
-    double offchipBurstNj = 0.0;
-    double stackedActPreNj = 0.0;
-    double stackedBurstNj = 0.0;
-
-    /**
-     * Per-tenant slices of this window (PodConfig::numTenants
-     * entries; empty for single-tenant runs). Every field sums
-     * bit-exactly to the corresponding aggregate above.
-     */
-    std::vector<TenantMetrics> tenants;
-
-    /**
-     * Introspection probe deltas over this window, positionally
-     * aligned with PodSystem::probeNames() (empty unless
-     * introspection is on). The per-interval probeValues deltas
-     * sum bit-exactly to these.
-     */
-    std::vector<std::uint64_t> probeValues;
-
-    /** Average memory-system latency per demand access. */
-    double
-    avgAccessLatencyCycles() const
-    {
-        return demandAccesses
-                   ? static_cast<double>(memLatencyCycles) /
-                         demandAccesses
-                   : 0.0;
-    }
-
-    /** Aggregate instructions per cycle (the paper's metric). */
-    double
-    ipc() const
-    {
-        return cycles ? static_cast<double>(instructions) / cycles
-                      : 0.0;
-    }
-
-    /** Block-granularity DRAM cache miss ratio. */
-    double
-    missRatio() const
-    {
-        return demandAccesses
-                   ? static_cast<double>(demandAccesses -
-                                         demandHits) /
-                         demandAccesses
-                   : 0.0;
-    }
-
-    /** Average off-chip bandwidth in GB/s at 3GHz. */
-    double
-    offchipBandwidthGBps(double cpu_ghz = 3.0) const
-    {
-        if (cycles == 0)
-            return 0.0;
-        return static_cast<double>(offchipBytes) /
-               (static_cast<double>(cycles) / cpu_ghz);
-    }
-
-    /** Off-chip DRAM dynamic energy per instruction (nJ). */
-    double
-    offchipEnergyPerInstr() const
-    {
-        return instructions ? (offchipActPreNj + offchipBurstNj) /
-                                  instructions
-                            : 0.0;
-    }
-
-    /** Stacked DRAM dynamic energy per instruction (nJ). */
-    double
-    stackedEnergyPerInstr() const
-    {
-        return instructions ? (stackedActPreNj + stackedBurstNj) /
-                                  instructions
-                            : 0.0;
-    }
-};
+/** Counter deltas over the measurement window (see counters.hh;
+ * the per-interval deltas sum bit-exactly to these). */
+using RunMetrics = PodCounters;
 
 /**
  * Result of one sampled execution (PodSystem::runSampled).
@@ -513,29 +414,8 @@ class PodSystem
     }
 
   private:
-    struct Snapshot
-    {
-        std::uint64_t instructions = 0;
-        Cycle now = 0;
-        std::uint64_t records = 0;
-        std::uint64_t llcMisses = 0;
-        std::uint64_t demandAccesses = 0;
-        std::uint64_t demandHits = 0;
-        std::uint64_t memLatency = 0;
-        std::uint64_t offchipBytes = 0;
-        std::uint64_t stackedBytes = 0;
-        std::uint64_t offchipActs = 0;
-        std::uint64_t stackedActs = 0;
-        double offchipActPreNj = 0.0;
-        double offchipBurstNj = 0.0;
-        double stackedActPreNj = 0.0;
-        double stackedBurstNj = 0.0;
-        std::vector<TenantMetrics> tenants;
-        /** Probe values (probeNames() order; empty = intro off). */
-        std::vector<std::uint64_t> probeValues;
-    };
-
-    Snapshot capture(Cycle now) const;
+    /** Running totals of every counter at @p now. */
+    PodCounters capture(Cycle now) const;
 
     /** Replay ops [begin, end) of @p ops into the memory system
      * (functional mode; the caller sets the mode). */
@@ -594,7 +474,7 @@ class PodSystem
      * Close the current interval at @p now: append the deltas
      * since @p prev to intervals_ and advance prev.
      */
-    void recordInterval(Snapshot &prev, Cycle now);
+    void recordInterval(PodCounters &prev, Cycle now);
 
     PodConfig config_;
     TraceSource &trace_;
@@ -617,16 +497,6 @@ class PodSystem
 
     /** Interval stream across measured windows (telemetry). */
     std::vector<IntervalSample> intervals_;
-
-    /**
-     * Sampled-mode side channel: IntervalSample deliberately
-     * carries no energy doubles (they don't telescope), but the
-     * sampled aggregate must cover measured intervals only, so
-     * while this flag is up recordInterval also appends each
-     * epoch's four energy deltas here.
-     */
-    bool record_epoch_energy_ = false;
-    std::vector<std::array<double, 4>> epoch_energy_;
 
     /** Allocated only when telemetry histograms are on. */
     std::unique_ptr<TelemetryProbe> probe_;

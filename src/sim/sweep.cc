@@ -486,32 +486,11 @@ appendSampledExtras(
     std::vector<std::pair<std::string, double>> &extra)
 {
     std::vector<double> ipc, miss, lat, bw;
-    ipc.reserve(sr.samples.size());
-    miss.reserve(sr.samples.size());
-    lat.reserve(sr.samples.size());
-    bw.reserve(sr.samples.size());
     for (const IntervalSample &s : sr.samples) {
-        ipc.push_back(
-            s.cycles ? static_cast<double>(s.instructions) /
-                           s.cycles
-                     : 0.0);
-        miss.push_back(
-            s.demandAccesses
-                ? static_cast<double>(s.demandAccesses -
-                                      s.demandHits) /
-                      s.demandAccesses
-                : 0.0);
-        lat.push_back(
-            s.demandAccesses
-                ? static_cast<double>(s.memLatencyCycles) /
-                      s.demandAccesses
-                : 0.0);
-        // Same 3GHz convention as RunMetrics.
-        bw.push_back(s.cycles
-                         ? static_cast<double>(s.offchipBytes) /
-                               (static_cast<double>(s.cycles) /
-                                3.0)
-                         : 0.0);
+        ipc.push_back(s.ipc());
+        miss.push_back(s.missRatio());
+        lat.push_back(s.avgAccessLatencyCycles());
+        bw.push_back(s.offchipBandwidthGBps());
     }
     extra.emplace_back("sampled_intervals",
                        static_cast<double>(sr.intervalsRun));
@@ -1353,31 +1332,21 @@ appendPoint(std::string &out, const ExperimentPoint &p,
               p.cfg.pageBytes, p.traceSeed());
     appendFmt(out,
               "         \"metrics\": {\"ipc\": %.6f, "
-              "\"miss_ratio\": %.6f, \"instructions\": %" PRIu64
-              ", \"cycles\": %" PRIu64 ", \"trace_records\": "
-              "%" PRIu64 ",\n",
-              m.ipc(), m.missRatio(), m.instructions,
-              static_cast<std::uint64_t>(m.cycles),
-              m.traceRecords);
+              "\"miss_ratio\": %.6f",
+              m.ipc(), m.missRatio());
+    // Every counter in table order, four to a line after the
+    // ratios' line, then the derived DRAM energies.
+    constexpr const char *kWrap = ",\n                     \"";
+    std::size_t col = 0;
+    for (const auto &f : kPodCounterFields) {
+        out += col++ % 4 == 3 ? kWrap : ", \"";
+        appendFmt(out, "%s\": %" PRIu64, f.name, m.*f.member);
+    }
+    out += kWrap;
     appendFmt(out,
-              "                     \"llc_misses\": %" PRIu64
-              ", \"demand_accesses\": %" PRIu64
-              ", \"demand_hits\": %" PRIu64
-              ", \"mem_latency_cycles\": %" PRIu64 ",\n",
-              m.llcMisses, m.demandAccesses, m.demandHits,
-              m.memLatencyCycles);
-    appendFmt(out,
-              "                     \"offchip_bytes\": %" PRIu64
-              ", \"stacked_bytes\": %" PRIu64
-              ", \"offchip_acts\": %" PRIu64
-              ", \"stacked_acts\": %" PRIu64 ",\n",
-              m.offchipBytes, m.stackedBytes, m.offchipActs,
-              m.stackedActs);
-    appendFmt(out,
-              "                     \"offchip_energy_nj\": %.3f, "
+              "offchip_energy_nj\": %.3f, "
               "\"stacked_energy_nj\": %.3f}",
-              m.offchipActPreNj + m.offchipBurstNj,
-              m.stackedActPreNj + m.stackedBurstNj);
+              m.offchipEnergyNj(), m.stackedEnergyNj());
     if (!m.tenants.empty()) {
         // Per-tenant attribution (multi-tenant colocation): raw
         // counters plus the derived hit ratio and latency the

@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "common/stats.hh"
-#include "tenant/tenant.hh"
+#include "sim/counters.hh"
 
 namespace fpc {
 
@@ -91,41 +91,13 @@ struct TelemetryConfig
 };
 
 /**
- * One measurement epoch: the delta of every integer RunMetrics
- * field over `records` trace records, plus the per-tenant slices.
- *
- * Only integer fields appear: integer deltas telescope exactly
- * (sum of intervals == aggregate, bit for bit), which is the
- * property the conservation tests and check_telemetry.py verify.
- * The energy accumulators are doubles and do not telescope under
- * FP addition, so they are deliberately excluded — consumers
- * derive energy from the aggregate report.
+ * One measurement epoch: the delta of every pod counter over
+ * `traceRecords` trace records, per-tenant slices and probe
+ * values included. Integer deltas telescope exactly (the sum of a
+ * window's intervals equals its aggregate, bit for bit), which is
+ * what the conservation tests and check_telemetry.py verify.
  */
-struct IntervalSample
-{
-    std::uint64_t records = 0;
-    std::uint64_t instructions = 0;
-    std::uint64_t cycles = 0;
-    std::uint64_t llcMisses = 0;
-    std::uint64_t demandAccesses = 0;
-    std::uint64_t demandHits = 0;
-    std::uint64_t memLatencyCycles = 0;
-    std::uint64_t offchipBytes = 0;
-    std::uint64_t stackedBytes = 0;
-    std::uint64_t offchipActs = 0;
-    std::uint64_t stackedActs = 0;
-
-    /**
-     * Introspection probe deltas for this epoch, positionally
-     * aligned with the pod's probeNames() (empty unless cache
-     * introspection is armed). Plain u64 counter deltas, so they
-     * telescope exactly like the named fields above.
-     */
-    std::vector<std::uint64_t> probeValues;
-
-    /** Per-tenant deltas for this epoch (empty when solo). */
-    std::vector<TenantMetrics> tenants;
-};
+using IntervalSample = PodCounters;
 
 /**
  * Hot-path distribution probe, allocated by the pod only when

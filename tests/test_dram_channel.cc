@@ -12,7 +12,7 @@ makeChannel(PagePolicy policy = PagePolicy::Open)
 {
     DramTimingParams t = DramTimingParams::ddr3_1600_offchip();
     t.policy = policy;
-    return DramChannel(t, DramEnergyParams::offchipDdr3(), "ch");
+    return DramChannel(t, "ch");
 }
 
 TEST(DramChannel, ColdReadLatency)
@@ -132,15 +132,28 @@ TEST(DramChannel, WritesDoNotStallLaterReadsExcessively)
     EXPECT_LT(r.firstBlockReady - 40, 10ULL * t.tRC);
 }
 
-TEST(DramChannel, EnergyAccounting)
+TEST(DramChannel, EnergyDerivesFromActivateAndBlockCounts)
 {
     DramChannel ch = makeChannel();
-    ch.access(0, 0x0, false, 2);   // 1 ACT, 2 read bursts
+    const auto &t = ch.timing();
+    ch.access(0, 0x0, false, 2);    // ACT, 2 read bursts
     ch.access(1000, 0x80, true, 1); // row hit, 1 write burst
-    DramEnergyParams e = DramEnergyParams::offchipDdr3();
-    EXPECT_DOUBLE_EQ(ch.actPreEnergyNj(), e.actPreNj);
-    EXPECT_DOUBLE_EQ(ch.burstEnergyNj(),
-                     2 * e.readBlockNj + e.writeBlockNj);
+    // Same bank, another row: precharge + ACT, 1 read burst.
+    ch.access(2000, static_cast<Addr>(t.rowBytes) * t.numBanks,
+              false, 1);
+    EXPECT_EQ(ch.activates(), 2u);
+    EXPECT_EQ(ch.bytesTransferred(), 4u * kBlockBytes);
+
+    // Reads and writes cost the same per block, so the energy is
+    // a function of the two counts alone.
+    const DramEnergyParams e = DramEnergyParams::offchipDdr3();
+    EXPECT_DOUBLE_EQ(e.actPreEnergyNj(ch.activates()),
+                     2 * e.actPreNj);
+    EXPECT_DOUBLE_EQ(e.burstEnergyNj(ch.bytesTransferred()),
+                     4 * e.blockNj);
+    EXPECT_DOUBLE_EQ(
+        e.energyNj(ch.activates(), ch.bytesTransferred()),
+        2 * 2.0 + 4 * 1.1);
 }
 
 TEST(DramChannel, CompoundAccessSlowerThanPlainHit)

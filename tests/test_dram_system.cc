@@ -63,8 +63,7 @@ TEST(DramSystem, AggregatesSumChannels)
     EXPECT_EQ(stk.totalBlocksRead(), 1u);
     EXPECT_EQ(stk.totalBlocksWritten(), 2u);
     EXPECT_EQ(stk.totalBytes(), 3u * kBlockBytes);
-    EXPECT_GT(stk.totalActPreEnergyNj(), 0.0);
-    EXPECT_GT(stk.totalBurstEnergyNj(), 0.0);
+    EXPECT_EQ(stk.totalActivates(), 2u);
 }
 
 TEST(DramSystem, ChannelLocalAddressPreservesRowLocality)

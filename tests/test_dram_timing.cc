@@ -70,8 +70,7 @@ TEST(DramEnergy, StackedCheaperThanOffchip)
 {
     DramEnergyParams off = DramEnergyParams::offchipDdr3();
     DramEnergyParams stk = DramEnergyParams::stackedDram();
-    EXPECT_LT(stk.readBlockNj, off.readBlockNj);
-    EXPECT_LT(stk.writeBlockNj, off.writeBlockNj);
+    EXPECT_LT(stk.blockNj, off.blockNj);
     EXPECT_LT(stk.actPreNj, off.actPreNj);
 }
 

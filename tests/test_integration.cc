@@ -141,10 +141,10 @@ TEST(Integration, SingletonOptimizationReducesMisses)
 TEST(Integration, EnergyBookkeepingConsistent)
 {
     RunMetrics fp = runDesign("footprint");
-    EXPECT_GT(fp.offchipActPreNj, 0.0);
-    EXPECT_GT(fp.offchipBurstNj, 0.0);
-    EXPECT_GT(fp.stackedActPreNj, 0.0);
-    EXPECT_GT(fp.stackedBurstNj, 0.0);
+    EXPECT_GT(fp.offchipActPreNj(), 0.0);
+    EXPECT_GT(fp.offchipBurstNj(), 0.0);
+    EXPECT_GT(fp.stackedActPreNj(), 0.0);
+    EXPECT_GT(fp.stackedBurstNj(), 0.0);
     EXPECT_GT(fp.offchipEnergyPerInstr(), 0.0);
 }
 

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "counter_checks.hh"
 #include "sim/journal.hh"
 #include "sim/sweep.hh"
 #include "telemetry/introspection.hh"
@@ -284,33 +285,9 @@ TEST(Introspection, SampledRunsDisableIntrospection)
     // period, and it conserves against the sampled aggregates
     // exactly like an exact run's stream.
     ASSERT_GE(r.intervals.size(), 2u);
-    IntervalSample sum;
-    for (const IntervalSample &s : r.intervals) {
+    for (const IntervalSample &s : r.intervals)
         EXPECT_TRUE(s.probeValues.empty());
-        sum.records += s.records;
-        sum.instructions += s.instructions;
-        sum.cycles += s.cycles;
-        sum.llcMisses += s.llcMisses;
-        sum.demandAccesses += s.demandAccesses;
-        sum.demandHits += s.demandHits;
-        sum.memLatencyCycles += s.memLatencyCycles;
-        sum.offchipBytes += s.offchipBytes;
-        sum.stackedBytes += s.stackedBytes;
-        sum.offchipActs += s.offchipActs;
-        sum.stackedActs += s.stackedActs;
-    }
-    const RunMetrics &m = r.metrics;
-    EXPECT_EQ(sum.records, m.traceRecords);
-    EXPECT_EQ(sum.instructions, m.instructions);
-    EXPECT_EQ(sum.cycles, static_cast<std::uint64_t>(m.cycles));
-    EXPECT_EQ(sum.llcMisses, m.llcMisses);
-    EXPECT_EQ(sum.demandAccesses, m.demandAccesses);
-    EXPECT_EQ(sum.demandHits, m.demandHits);
-    EXPECT_EQ(sum.memLatencyCycles, m.memLatencyCycles);
-    EXPECT_EQ(sum.offchipBytes, m.offchipBytes);
-    EXPECT_EQ(sum.stackedBytes, m.stackedBytes);
-    EXPECT_EQ(sum.offchipActs, m.offchipActs);
-    EXPECT_EQ(sum.stackedActs, m.stackedActs);
+    expectIntervalsConserve(r.intervals, r.metrics, "sampled");
 }
 
 TEST(Journal, RoundTripsProbeColumnsAndHeatmap)

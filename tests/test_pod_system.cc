@@ -157,11 +157,17 @@ TEST(PodSystem, MetricsDerivations)
     m.demandAccesses = 100;
     m.demandHits = 80;
     m.offchipBytes = 64000;
-    m.offchipActPreNj = 10.0;
-    m.offchipBurstNj = 20.0;
+    m.offchipActs = 5;
     EXPECT_DOUBLE_EQ(m.ipc(), 2.0);
     EXPECT_DOUBLE_EQ(m.missRatio(), 0.2);
-    EXPECT_DOUBLE_EQ(m.offchipEnergyPerInstr(), 0.03);
+    // 5 activates x 2.0nJ + 1000 blocks x 1.1nJ over 1000 instrs.
+    EXPECT_DOUBLE_EQ(m.offchipEnergyPerInstr(), 1.11);
+    m.stackedActs = 10;
+    m.stackedBytes = 20 * kBlockBytes;
+    // 10 x 1.1nJ activate/precharge + 20 x 0.35nJ bursts.
+    EXPECT_DOUBLE_EQ(m.stackedActPreNj(), 11.0);
+    EXPECT_DOUBLE_EQ(m.stackedBurstNj(), 7.0);
+    EXPECT_DOUBLE_EQ(m.stackedEnergyPerInstr(), 0.018);
     EXPECT_GT(m.offchipBandwidthGBps(), 0.0);
 }
 

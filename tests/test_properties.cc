@@ -185,7 +185,7 @@ TEST_P(DramPolicySweep, ConservationAndMonotonicity)
 {
     DramTimingParams t = DramTimingParams::ddr3_3200_stacked();
     t.policy = GetParam();
-    DramChannel ch(t, DramEnergyParams::stackedDram(), "ch");
+    DramChannel ch(t, "ch");
     std::uint64_t x = 5;
     std::uint64_t blocks = 0;
     for (int i = 0; i < 5000; ++i) {

@@ -290,10 +290,6 @@ TEST_F(ResilienceTest, JournalEntryRoundTripsExactly)
     r.metrics.stackedBytes = 9;
     r.metrics.offchipActs = 10;
     r.metrics.stackedActs = 11;
-    r.metrics.offchipActPreNj = 0.1;
-    r.metrics.offchipBurstNj = 1.0 / 3.0;
-    r.metrics.stackedActPreNj = 2e-19;
-    r.metrics.stackedBurstNj = 3.25;
     r.metrics.tenants.resize(2);
     r.metrics.tenants[1].traceRecords = 17;
     r.metrics.tenants[1].offchipBytes = 19;
@@ -306,9 +302,12 @@ TEST_F(ResilienceTest, JournalEntryRoundTripsExactly)
     r.densityPages = 26;
     r.densityBuckets = {1, 2, 3};
     r.extra.emplace_back("ideal mb", 0.123456789);
+    r.extra.emplace_back("third", 1.0 / 3.0);
+    r.extra.emplace_back("tiny", 2e-19);
     r.attempts = 2;
     r.elapsedSeconds = 1.75;
     r.timing.traceSeconds = 0.5;
+    r.timing.warmupSeconds = 0.1;
     r.timing.replayedTrace = true;
     r.error = "multi\nline \"quoted\"";
     r.failed = true;
@@ -324,18 +323,19 @@ TEST_F(ResilienceTest, JournalEntryRoundTripsExactly)
     const PointResult &q = e.result;
     EXPECT_EQ(q.metrics.instructions, 111u);
     EXPECT_EQ(static_cast<std::uint64_t>(q.metrics.cycles), 222u);
-    // Hex-float serialization: doubles round-trip bit-exactly.
-    EXPECT_EQ(q.metrics.offchipBurstNj, 1.0 / 3.0);
-    EXPECT_EQ(q.metrics.stackedActPreNj, 2e-19);
     ASSERT_EQ(q.metrics.tenants.size(), 2u);
     EXPECT_EQ(q.metrics.tenants[1].traceRecords, 17u);
     EXPECT_EQ(q.metrics.tenants[1].offchipBytes, 19u);
     EXPECT_TRUE(q.hasFootprint);
     EXPECT_EQ(q.densityBuckets,
               (std::vector<std::uint64_t>{1, 2, 3}));
-    ASSERT_EQ(q.extra.size(), 1u);
+    ASSERT_EQ(q.extra.size(), 3u);
     EXPECT_EQ(q.extra[0].first, "ideal mb");
     EXPECT_EQ(q.extra[0].second, 0.123456789);
+    // Hex-float serialization: doubles round-trip bit-exactly.
+    EXPECT_EQ(q.extra[1].second, 1.0 / 3.0);
+    EXPECT_EQ(q.extra[2].second, 2e-19);
+    EXPECT_EQ(q.timing.warmupSeconds, 0.1);
     EXPECT_EQ(q.attempts, 2u);
     EXPECT_EQ(q.elapsedSeconds, 1.75);
     EXPECT_EQ(q.timing.traceSeconds, 0.5);

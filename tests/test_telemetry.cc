@@ -1,7 +1,7 @@
 /**
  * @file
  * Telemetry layer tests: interval-stream conservation (every
- * integer field sums bit-exactly to the aggregate metrics, solo
+ * schema counter sums bit-exactly to the aggregate metrics, solo
  * and per-tenant, for every registered design), epoch determinism
  * across sweep job counts, log2-histogram percentile math, Chrome
  * trace-event well-formedness, journal round-trips of interval
@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/stats.hh"
+#include "counter_checks.hh"
 #include "sim/journal.hh"
 #include "sim/sweep.hh"
 #include "telemetry/telemetry.hh"
@@ -47,66 +48,6 @@ telemetryPoint(const char *design, WorkloadKind wk,
     return p;
 }
 
-/** Sum every interval field and require bit-exact agreement with
- * the aggregate measured metrics. */
-void
-expectIntervalsConserve(const PointResult &r,
-                        const std::string &key)
-{
-    ASSERT_FALSE(r.intervals.empty()) << key;
-    IntervalSample sum;
-    sum.tenants.resize(r.metrics.tenants.size());
-    for (const IntervalSample &s : r.intervals) {
-        sum.records += s.records;
-        sum.instructions += s.instructions;
-        sum.cycles += s.cycles;
-        sum.llcMisses += s.llcMisses;
-        sum.demandAccesses += s.demandAccesses;
-        sum.demandHits += s.demandHits;
-        sum.memLatencyCycles += s.memLatencyCycles;
-        sum.offchipBytes += s.offchipBytes;
-        sum.stackedBytes += s.stackedBytes;
-        sum.offchipActs += s.offchipActs;
-        sum.stackedActs += s.stackedActs;
-        ASSERT_EQ(s.tenants.size(), sum.tenants.size()) << key;
-        for (std::size_t t = 0; t < s.tenants.size(); ++t) {
-            TenantMetrics &tm = sum.tenants[t];
-            tm.traceRecords += s.tenants[t].traceRecords;
-            tm.instructions += s.tenants[t].instructions;
-            tm.llcMisses += s.tenants[t].llcMisses;
-            tm.demandAccesses += s.tenants[t].demandAccesses;
-            tm.demandHits += s.tenants[t].demandHits;
-            tm.memLatencyCycles += s.tenants[t].memLatencyCycles;
-            tm.offchipBytes += s.tenants[t].offchipBytes;
-        }
-    }
-    const RunMetrics &m = r.metrics;
-    EXPECT_EQ(sum.records, m.traceRecords) << key;
-    EXPECT_EQ(sum.instructions, m.instructions) << key;
-    EXPECT_EQ(sum.cycles, static_cast<std::uint64_t>(m.cycles))
-        << key;
-    EXPECT_EQ(sum.llcMisses, m.llcMisses) << key;
-    EXPECT_EQ(sum.demandAccesses, m.demandAccesses) << key;
-    EXPECT_EQ(sum.demandHits, m.demandHits) << key;
-    EXPECT_EQ(sum.memLatencyCycles, m.memLatencyCycles) << key;
-    EXPECT_EQ(sum.offchipBytes, m.offchipBytes) << key;
-    EXPECT_EQ(sum.stackedBytes, m.stackedBytes) << key;
-    EXPECT_EQ(sum.offchipActs, m.offchipActs) << key;
-    EXPECT_EQ(sum.stackedActs, m.stackedActs) << key;
-    for (std::size_t t = 0; t < m.tenants.size(); ++t) {
-        const TenantMetrics &tm = sum.tenants[t];
-        const TenantMetrics &mt = m.tenants[t];
-        EXPECT_EQ(tm.traceRecords, mt.traceRecords) << key;
-        EXPECT_EQ(tm.instructions, mt.instructions) << key;
-        EXPECT_EQ(tm.llcMisses, mt.llcMisses) << key;
-        EXPECT_EQ(tm.demandAccesses, mt.demandAccesses) << key;
-        EXPECT_EQ(tm.demandHits, mt.demandHits) << key;
-        EXPECT_EQ(tm.memLatencyCycles, mt.memLatencyCycles)
-            << key;
-        EXPECT_EQ(tm.offchipBytes, mt.offchipBytes) << key;
-    }
-}
-
 TEST(Intervals, ConserveAcrossAllDesigns)
 {
     for (const char *design : kAllDesigns) {
@@ -114,7 +55,7 @@ TEST(Intervals, ConserveAcrossAllDesigns)
             design, WorkloadKind::WebSearch, 20000, false);
         const PointResult r = runPoint(p);
         EXPECT_GE(r.intervals.size(), 2u) << design;
-        expectIntervalsConserve(r, p.key());
+        expectIntervalsConserve(r.intervals, r.metrics, p.key());
     }
 }
 
@@ -130,7 +71,7 @@ TEST(Intervals, ConserveForColocationMix)
     p.cfg.pod.telemetry.intervalRecords = 20000;
     const PointResult r = p.custom(p);
     ASSERT_EQ(r.metrics.tenants.size(), 2u);
-    expectIntervalsConserve(r, p.key());
+    expectIntervalsConserve(r.intervals, r.metrics, p.key());
 }
 
 TEST(Intervals, DeterministicAcrossJobCounts)
@@ -155,20 +96,8 @@ TEST(Intervals, DeterministicAcrossJobCounts)
             << key;
         for (std::size_t e = 0; e < serial[i].intervals.size();
              ++e) {
-            const IntervalSample &a = serial[i].intervals[e];
-            const IntervalSample &b = sharded[i].intervals[e];
-            EXPECT_EQ(a.records, b.records) << key;
-            EXPECT_EQ(a.instructions, b.instructions) << key;
-            EXPECT_EQ(a.cycles, b.cycles) << key;
-            EXPECT_EQ(a.llcMisses, b.llcMisses) << key;
-            EXPECT_EQ(a.demandAccesses, b.demandAccesses) << key;
-            EXPECT_EQ(a.demandHits, b.demandHits) << key;
-            EXPECT_EQ(a.memLatencyCycles, b.memLatencyCycles)
-                << key;
-            EXPECT_EQ(a.offchipBytes, b.offchipBytes) << key;
-            EXPECT_EQ(a.stackedBytes, b.stackedBytes) << key;
-            EXPECT_EQ(a.offchipActs, b.offchipActs) << key;
-            EXPECT_EQ(a.stackedActs, b.stackedActs) << key;
+            expectCountersEqual(serial[i].intervals[e],
+                                sharded[i].intervals[e], key);
         }
     }
 }
@@ -199,17 +128,8 @@ TEST(Intervals, TelemetryDoesNotPerturbMetricsOrReport)
     for (std::size_t i = 0; i < off.size(); ++i) {
         const RunMetrics &a = r_off[i].metrics;
         for (const RunMetrics *b :
-             {&r_ts[i].metrics, &r_hist[i].metrics}) {
-            EXPECT_EQ(a.instructions, b->instructions);
-            EXPECT_EQ(a.cycles, b->cycles);
-            EXPECT_EQ(a.traceRecords, b->traceRecords);
-            EXPECT_EQ(a.llcMisses, b->llcMisses);
-            EXPECT_EQ(a.demandAccesses, b->demandAccesses);
-            EXPECT_EQ(a.demandHits, b->demandHits);
-            EXPECT_EQ(a.memLatencyCycles, b->memLatencyCycles);
-            EXPECT_EQ(a.offchipBytes, b->offchipBytes);
-            EXPECT_EQ(a.stackedBytes, b->stackedBytes);
-        }
+             {&r_ts[i].metrics, &r_hist[i].metrics})
+            expectCountersEqual(a, *b, off[i].key());
         EXPECT_TRUE(r_off[i].intervals.empty());
         EXPECT_FALSE(r_ts[i].intervals.empty());
     }
@@ -243,15 +163,9 @@ TEST(Intervals, JournalRoundTripsIntervalStream)
     ASSERT_TRUE(SweepJournal::parse(text, key, entry));
     EXPECT_EQ(key, p.key());
     ASSERT_EQ(entry.result.intervals.size(), r.intervals.size());
-    for (std::size_t i = 0; i < r.intervals.size(); ++i) {
-        const IntervalSample &a = r.intervals[i];
-        const IntervalSample &b = entry.result.intervals[i];
-        EXPECT_EQ(a.records, b.records);
-        EXPECT_EQ(a.cycles, b.cycles);
-        EXPECT_EQ(a.demandAccesses, b.demandAccesses);
-        EXPECT_EQ(a.offchipBytes, b.offchipBytes);
-        EXPECT_EQ(a.tenants.size(), b.tenants.size());
-    }
+    for (std::size_t i = 0; i < r.intervals.size(); ++i)
+        expectCountersEqual(r.intervals[i],
+                            entry.result.intervals[i], p.key());
 
     // A truncated intervals section is corruption, not data.
     const std::string cut =

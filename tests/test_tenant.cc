@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <memory>
 
+#include "counter_checks.hh"
 #include "experiments/experiments.hh"
 #include "sim/sweep.hh"
 #include "tenant/colocation.hh"
@@ -234,23 +235,7 @@ void
 expectConservation(const RunMetrics &m, std::size_t num_tenants)
 {
     ASSERT_EQ(m.tenants.size(), num_tenants);
-    TenantMetrics sum;
-    for (const TenantMetrics &tm : m.tenants) {
-        sum.traceRecords += tm.traceRecords;
-        sum.instructions += tm.instructions;
-        sum.llcMisses += tm.llcMisses;
-        sum.demandAccesses += tm.demandAccesses;
-        sum.demandHits += tm.demandHits;
-        sum.memLatencyCycles += tm.memLatencyCycles;
-        sum.offchipBytes += tm.offchipBytes;
-    }
-    EXPECT_EQ(sum.traceRecords, m.traceRecords);
-    EXPECT_EQ(sum.instructions, m.instructions);
-    EXPECT_EQ(sum.llcMisses, m.llcMisses);
-    EXPECT_EQ(sum.demandAccesses, m.demandAccesses);
-    EXPECT_EQ(sum.demandHits, m.demandHits);
-    EXPECT_EQ(sum.memLatencyCycles, m.memLatencyCycles);
-    EXPECT_EQ(sum.offchipBytes, m.offchipBytes);
+    expectTenantsConserve(m, "tenants");
 }
 
 TEST(TenantConservation, EveryDesignSumsToAggregate)
@@ -385,24 +370,8 @@ TEST(TenantTwoPhase, WarmupModesBitIdenticalUnderMix)
         Experiment exp(cfg, *mix);
         return exp.run(40'000, 40'000);
     };
-    const RunMetrics a = run(SimMode::Functional);
-    const RunMetrics b = run(SimMode::Timed);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.demandAccesses, b.demandAccesses);
-    EXPECT_EQ(a.demandHits, b.demandHits);
-    EXPECT_EQ(a.offchipBytes, b.offchipBytes);
-    ASSERT_EQ(a.tenants.size(), b.tenants.size());
-    for (std::size_t t = 0; t < a.tenants.size(); ++t) {
-        EXPECT_EQ(a.tenants[t].demandAccesses,
-                  b.tenants[t].demandAccesses);
-        EXPECT_EQ(a.tenants[t].demandHits,
-                  b.tenants[t].demandHits);
-        EXPECT_EQ(a.tenants[t].memLatencyCycles,
-                  b.tenants[t].memLatencyCycles);
-        EXPECT_EQ(a.tenants[t].offchipBytes,
-                  b.tenants[t].offchipBytes);
-    }
+    expectCountersEqual(run(SimMode::Functional),
+                        run(SimMode::Timed), "warmup modes");
 }
 
 /** Colocation subset: the first pair across two designs. */
@@ -424,29 +393,6 @@ colocationSubset()
     return points;
 }
 
-void
-expectTenantsIdentical(const RunMetrics &a, const RunMetrics &b,
-                       const std::string &key)
-{
-    ASSERT_EQ(a.tenants.size(), b.tenants.size()) << key;
-    EXPECT_EQ(a.demandAccesses, b.demandAccesses) << key;
-    EXPECT_EQ(a.cycles, b.cycles) << key;
-    for (std::size_t t = 0; t < a.tenants.size(); ++t) {
-        EXPECT_EQ(a.tenants[t].demandAccesses,
-                  b.tenants[t].demandAccesses)
-            << key;
-        EXPECT_EQ(a.tenants[t].demandHits,
-                  b.tenants[t].demandHits)
-            << key;
-        EXPECT_EQ(a.tenants[t].memLatencyCycles,
-                  b.tenants[t].memLatencyCycles)
-            << key;
-        EXPECT_EQ(a.tenants[t].offchipBytes,
-                  b.tenants[t].offchipBytes)
-            << key;
-    }
-}
-
 TEST(TenantSweep, JobsAndCacheModesBitIdentical)
 {
     const std::vector<ExperimentPoint> points =
@@ -460,12 +406,10 @@ TEST(TenantSweep, JobsAndCacheModesBitIdentical)
     const std::vector<PointResult> uncached =
         SweepRunner(4, off).run(points);
     for (std::size_t i = 0; i < points.size(); ++i) {
-        expectTenantsIdentical(serial[i].metrics,
-                               sharded[i].metrics,
-                               points[i].key());
-        expectTenantsIdentical(serial[i].metrics,
-                               uncached[i].metrics,
-                               points[i].key());
+        expectCountersEqual(serial[i].metrics, sharded[i].metrics,
+                            points[i].key());
+        expectCountersEqual(serial[i].metrics, uncached[i].metrics,
+                            points[i].key());
     }
 
     // The rendered JSON is byte-identical too.
