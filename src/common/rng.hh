@@ -11,6 +11,7 @@
 #ifndef FPC_COMMON_RNG_HH
 #define FPC_COMMON_RNG_HH
 
+#include <bit>
 #include <cmath>
 #include <condition_variable>
 #include <cstdint>
@@ -211,9 +212,10 @@ class ZipfSampler
  * every draw afterwards is O(1) from a single 64-bit random value,
  * with no transcendental math and no rejection loop — unlike
  * ZipfSampler's rejection inversion, whose pow/log calls dominate
- * the trace-generation hot path. Costs 12 bytes per item, which is
- * acceptable for the multi-million-page workload datasets and paid
- * once per trace source.
+ * the trace-generation hot path. Costs 12 bytes per item, both
+ * while the table is built and afterwards, which is acceptable for
+ * the multi-million-page workload datasets and paid once per trace
+ * source.
  */
 class AliasZipfSampler
 {
@@ -250,7 +252,6 @@ class AliasZipfSampler
     std::uint64_t n() const { return n_; }
     double exponent() const { return s_; }
 
-  private:
     /** Immutable alias tables for one (n, s) distribution. */
     struct Tables
     {
@@ -258,6 +259,104 @@ class AliasZipfSampler
         std::vector<std::uint32_t> alias;
     };
 
+    /**
+     * Build the tables for n >= 2 items and s > 0 in place: each
+     * bucket's weight lives in thresh (as the bits of a double)
+     * until the bucket is finalized, so the build needs no memory
+     * beyond the 12 bytes per item of the result.
+     *
+     * Classic Vose pairing keeps two stacks, under-full (weight
+     * < 1) and over-full buckets, each filled in index order, and
+     * pairs their tops until one runs out; an over-full bucket
+     * that drops below 1 is pushed onto the under-full stack and
+     * popped next. Zipf weights are non-increasing, so the
+     * over-full buckets are a prefix [0, L) and the under-full a
+     * suffix [L, n). Two descending cursors plus the one bucket
+     * carried across therefore visit the buckets in exactly the
+     * classic order and yield identical tables.
+     */
+    static std::shared_ptr<const Tables>
+    buildTables(std::uint64_t n, double s)
+    {
+        auto tables = std::make_shared<Tables>();
+        std::vector<std::uint64_t> &thresh = tables->thresh;
+        std::vector<std::uint32_t> &alias = tables->alias;
+        thresh.resize(n);
+        alias.resize(n);
+        auto weight = [&](std::uint64_t i) {
+            return std::bit_cast<double>(thresh[i]);
+        };
+        auto setWeight = [&](std::uint64_t i, double w) {
+            thresh[i] = std::bit_cast<std::uint64_t>(w);
+        };
+
+        // Unnormalized Zipf weights, rescaled so the mean is 1.
+        double total = 0.0;
+        for (std::uint64_t i = 0; i < n; ++i) {
+            const double w = std::pow(static_cast<double>(i + 1), -s);
+            setWeight(i, w);
+            total += w;
+        }
+        const double scale = static_cast<double>(n) / total;
+        std::uint64_t first_small = n;
+        for (std::uint64_t i = 0; i < n; ++i) {
+            const double w = weight(i) * scale;
+            FPC_ASSERT(i == 0 || w <= weight(i - 1));
+            setWeight(i, w);
+            if (w < 1.0 && first_small == n)
+                first_small = i;
+        }
+
+        // Vose pairing: each under-full bucket borrows the excess
+        // of one over-full bucket. Unpaired under-full buckets are
+        // [first_small, small_end), unpaired over-full ones
+        // [0, large_end); carry (n = none) is an over-full bucket
+        // that just fell below 1.
+        std::uint64_t small_end = n;
+        std::uint64_t large_end = first_small;
+        std::uint64_t carry = n;
+        while ((carry != n || small_end > first_small) &&
+               large_end > 0) {
+            const std::uint64_t s_idx =
+                carry != n ? carry : --small_end;
+            carry = n;
+            const std::uint64_t l_idx = large_end - 1;
+            const double ws = weight(s_idx);
+            thresh[s_idx] = toThreshold(ws);
+            alias[s_idx] = static_cast<std::uint32_t>(l_idx);
+            const double wl = (weight(l_idx) + ws) - 1.0;
+            setWeight(l_idx, wl);
+            if (wl < 1.0) {
+                carry = l_idx;
+                --large_end;
+            }
+        }
+        // Leftovers (numerical residue): probability one.
+        auto keep = [&](std::uint64_t i) {
+            thresh[i] = ~std::uint64_t{0};
+            alias[i] = static_cast<std::uint32_t>(i);
+        };
+        for (std::uint64_t i = 0; i < large_end; ++i)
+            keep(i);
+        if (carry != n)
+            keep(carry);
+        for (std::uint64_t i = first_small; i < small_end; ++i)
+            keep(i);
+        return tables;
+    }
+
+    /** Map a bucket probability in [0, 1] to a u64 coin bound. */
+    static std::uint64_t
+    toThreshold(double p)
+    {
+        if (p >= 1.0)
+            return ~std::uint64_t{0};
+        if (p <= 0.0)
+            return 0;
+        return static_cast<std::uint64_t>(p * 0x1p64);
+    }
+
+  private:
     /**
      * Table construction is O(n) with a pow() per item — ~10^8
      * ns-scale operations for the multi-million-page datasets —
@@ -298,68 +397,6 @@ class AliasZipfSampler
         building.erase(key);
         cv.notify_all();
         return built;
-    }
-
-    static std::shared_ptr<const Tables>
-    buildTables(std::uint64_t n, double s)
-    {
-        auto tables = std::make_shared<Tables>();
-        // Unnormalized Zipf weights, rescaled so the mean is 1.
-        std::vector<double> scaled(n);
-        double total = 0.0;
-        for (std::uint64_t i = 0; i < n; ++i) {
-            scaled[i] = std::pow(static_cast<double>(i + 1), -s);
-            total += scaled[i];
-        }
-        const double scale = static_cast<double>(n) / total;
-        for (double &p : scaled)
-            p *= scale;
-
-        tables->thresh.resize(n);
-        tables->alias.resize(n);
-        std::vector<std::uint32_t> small, large;
-        small.reserve(n);
-        large.reserve(n);
-        for (std::uint64_t i = 0; i < n; ++i) {
-            (scaled[i] < 1.0 ? small : large)
-                .push_back(static_cast<std::uint32_t>(i));
-        }
-
-        // Vose pairing: each under-full bucket borrows the excess
-        // of one over-full bucket.
-        while (!small.empty() && !large.empty()) {
-            const std::uint32_t s_idx = small.back();
-            small.pop_back();
-            const std::uint32_t l_idx = large.back();
-            large.pop_back();
-            tables->thresh[s_idx] = toThreshold(scaled[s_idx]);
-            tables->alias[s_idx] = l_idx;
-            scaled[l_idx] =
-                (scaled[l_idx] + scaled[s_idx]) - 1.0;
-            (scaled[l_idx] < 1.0 ? small : large)
-                .push_back(l_idx);
-        }
-        // Leftovers (numerical residue): probability one.
-        for (std::uint32_t i : large) {
-            tables->thresh[i] = ~std::uint64_t{0};
-            tables->alias[i] = i;
-        }
-        for (std::uint32_t i : small) {
-            tables->thresh[i] = ~std::uint64_t{0};
-            tables->alias[i] = i;
-        }
-        return tables;
-    }
-
-    /** Map a bucket probability in [0, 1] to a u64 coin bound. */
-    static std::uint64_t
-    toThreshold(double p)
-    {
-        if (p >= 1.0)
-            return ~std::uint64_t{0};
-        if (p <= 0.0)
-            return 0;
-        return static_cast<std::uint64_t>(p * 0x1p64);
     }
 
     std::uint64_t n_;

@@ -50,37 +50,34 @@ AlloyCache::fill(Cycle when, Addr block_addr, bool dirty)
 {
     const std::uint64_t set = setOf(block_addr);
     Tad &tad = tads_[set];
+    const bool occupied = block_tag::valid(tad);
+    const Addr victim_addr = block_tag::blockId(tad) * kBlockBytes;
     if (quota_.enabled()) {
         const std::uint32_t tenant = tenantOfAddr(block_addr);
         const std::uint32_t victim_tenant =
-            tad.valid ? tenantOfAddr(tad.blockId * kBlockBytes)
-                      : 0;
-        if (!quota_.mayFill(tenant, tad.valid, victim_tenant)) {
+            occupied ? tenantOfAddr(victim_addr) : 0;
+        if (!quota_.mayFill(tenant, occupied, victim_tenant)) {
             quota_bypass_.inc();
             return false;
         }
     }
-    if (tad.valid) {
+    if (occupied) {
         if (intro_)
             intro_->noteSetConflict(set);
-        quota_.release(tenantOfAddr(tad.blockId * kBlockBytes));
-        if (tad.dirty) {
+        quota_.release(tenantOfAddr(victim_addr));
+        if (block_tag::dirty(tad)) {
             // The victim leaves through the same TAD stream: read
             // it from the row, write it off chip.
             dirty_evictions_.inc();
             if (timed()) {
                 DramAccessResult rd =
                     stacked_.access(when, tadAddr(set), false, 1);
-                offchip_.access(rd.done,
-                                tad.blockId * kBlockBytes, true,
-                                1);
+                offchip_.access(rd.done, victim_addr, true, 1);
             }
         }
     }
     quota_.charge(tenantOfAddr(block_addr));
-    tad.blockId = blockNumber(block_addr);
-    tad.valid = true;
-    tad.dirty = dirty;
+    tad = block_tag::make(blockNumber(block_addr), dirty);
     // One TAD write installs tag and data together — no separate
     // tag-update access, the point of alloying.
     if (timed())
@@ -96,9 +93,8 @@ AlloyCache::access(Cycle now, const MemRequest &req)
     const std::uint64_t set = setOf(block_addr);
     if (intro_)
         intro_->noteSetAccess(set);
-    const Tad &tad = tads_[set];
-    const bool hit = tad.valid &&
-                     tad.blockId == blockNumber(block_addr);
+    const bool hit =
+        block_tag::holds(tads_[set], blockNumber(block_addr));
 
     std::uint8_t &ctr = mapCounter(req.pc);
     const bool predict_hit =
@@ -160,9 +156,9 @@ AlloyCache::writeback(Cycle now, Addr block_addr)
     block_addr = blockAlign(block_addr);
     const std::uint64_t set = setOf(block_addr);
     Tad &tad = tads_[set];
-    if (tad.valid && tad.blockId == blockNumber(block_addr)) {
+    if (block_tag::holds(tad, blockNumber(block_addr))) {
         wb_hits_.inc();
-        tad.dirty = true;
+        tad |= block_tag::kDirty;
         if (timed())
             stacked_.access(now, tadAddr(set), true, 1);
         return;
@@ -195,7 +191,7 @@ AlloyCache::finalizeIntrospection()
     // sets per bin would need binOf; one call per TAD is fine at
     // finalize time (runs once per measured run).
     for (std::uint64_t set = 0; set < num_sets_; ++set) {
-        if (tads_[set].valid)
+        if (block_tag::valid(tads_[set]))
             intro_->noteSetOccupied(set, 1);
     }
 }

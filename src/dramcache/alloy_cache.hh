@@ -29,6 +29,7 @@
 
 #include "common/stats.hh"
 #include "dram/system.hh"
+#include "dramcache/block_tag.hh"
 #include "dramcache/interface.hh"
 #include "tenant/partition.hh"
 
@@ -128,17 +129,22 @@ class AlloyCache : public MemorySystem
         return quota_bypass_.value();
     }
 
+    /** Is @p block_addr's block cached? */
+    bool
+    contains(Addr block_addr) const
+    {
+        return block_tag::holds(tads_[setOf(block_addr)],
+                                blockNumber(block_addr));
+    }
+
     std::uint64_t numSets() const { return num_sets_; }
     const Config &config() const { return config_; }
     const StatGroup &stats() const { return stats_; }
 
   private:
-    struct Tad
-    {
-        Addr blockId = 0;
-        bool valid = false;
-        bool dirty = false;
-    };
+    /** One TAD's tag state: a block_tag word. */
+    using Tad = std::uint64_t;
+    static_assert(sizeof(Tad) == 8);
 
     std::uint64_t
     setOf(Addr block_addr) const

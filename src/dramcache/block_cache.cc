@@ -42,32 +42,29 @@ BlockCache::BlockCache(const Config &config, DramSystem &stacked,
                       "LLC writebacks not absorbed");
 }
 
-BlockCache::Way *
-BlockCache::findWay(Addr block_addr, bool touch)
+std::size_t
+BlockCache::findWay(Addr block_addr) const
 {
     const Addr block_id = blockNumber(block_addr);
     const std::size_t base =
         setOf(block_addr) * config_.dataBlocksPerRow;
     for (unsigned w = 0; w < config_.dataBlocksPerRow; ++w) {
-        Way &way = ways_[base + w];
-        if (way.valid && way.blockId == block_id) {
-            if (touch)
-                way.lastUse = ++tick_;
-            return &way;
-        }
+        if (block_tag::holds(ways_[base + w].tag(), block_id))
+            return base + w;
     }
-    return nullptr;
+    return kNoWay;
 }
 
 void
 BlockCache::evictWay(Cycle when, std::uint64_t set, Way &way)
 {
-    FPC_ASSERT(way.valid);
+    const std::uint64_t tag = way.tag();
+    FPC_ASSERT(block_tag::valid(tag));
     if (intro_)
         intro_->noteSetConflict(set);
-    const Addr block_addr = way.blockId * kBlockBytes;
+    const Addr block_addr = block_tag::blockId(tag) * kBlockBytes;
     quota_.release(tenantOfAddr(block_addr));
-    if (way.dirty) {
+    if (block_tag::dirty(tag)) {
         dirty_evictions_.inc();
         if (timed()) {
             // Read the victim from the cache row, write it off
@@ -82,8 +79,7 @@ BlockCache::evictWay(Cycle when, std::uint64_t set, Way &way)
             offchip_.access(rd.done, block_addr, true, 1);
         }
     }
-    way.valid = false;
-    way.dirty = false;
+    way.setTag(0);
     missmap_.clearBit(block_addr);
 }
 
@@ -103,30 +99,27 @@ BlockCache::flushSegment(Cycle when, const MissMap::Victim &victim)
         const Addr block_addr =
             victim.segmentId * config_.missMap.segmentBytes +
             static_cast<Addr>(b) * kBlockBytes;
-        const std::uint64_t set = setOf(block_addr);
-        const Addr block_id = blockNumber(block_addr);
-        const std::size_t base = set * config_.dataBlocksPerRow;
-        for (unsigned w = 0; w < config_.dataBlocksPerRow; ++w) {
-            Way &way = ways_[base + w];
-            if (!way.valid || way.blockId != block_id)
-                continue;
-            mm_flushed_.inc();
-            quota_.release(tenantOfAddr(block_addr));
-            if (way.dirty) {
-                dirty_evictions_.inc();
-                if (timed()) {
-                    DramAccessResult rd = stacked_.access(
-                        when,
-                        rowAddr(set) +
-                            static_cast<Addr>(w) * kBlockBytes,
-                        false, 1);
-                    offchip_.access(rd.done, block_addr, true, 1);
-                }
+        const std::size_t i = findWay(block_addr);
+        if (i == kNoWay)
+            continue;
+        Way &way = ways_[i];
+        mm_flushed_.inc();
+        quota_.release(tenantOfAddr(block_addr));
+        if (block_tag::dirty(way.tag())) {
+            dirty_evictions_.inc();
+            if (timed()) {
+                const std::uint64_t set = setOf(block_addr);
+                const std::size_t w =
+                    i - set * config_.dataBlocksPerRow;
+                DramAccessResult rd = stacked_.access(
+                    when,
+                    rowAddr(set) +
+                        static_cast<Addr>(w) * kBlockBytes,
+                    false, 1);
+                offchip_.access(rd.done, block_addr, true, 1);
             }
-            way.valid = false;
-            way.dirty = false;
-            break;
         }
+        way.setTag(0);
         // The MissMap entry itself is already gone; no clearBit.
     }
 }
@@ -139,10 +132,10 @@ BlockCache::fillBlock(Cycle when, Addr block_addr, bool dirty)
 
     unsigned victim_way = 0;
     bool found_invalid = false;
-    std::uint64_t oldest = ~std::uint64_t{0};
+    std::uint32_t oldest = ~std::uint32_t{0};
     for (unsigned w = 0; w < config_.dataBlocksPerRow; ++w) {
         Way &way = ways_[base + w];
-        if (!way.valid) {
+        if (!block_tag::valid(way.tag())) {
             victim_way = w;
             found_invalid = true;
             break;
@@ -158,7 +151,8 @@ BlockCache::fillBlock(Cycle when, Addr block_addr, bool dirty)
         const std::uint32_t victim_tenant =
             found_invalid
                 ? 0
-                : tenantOfAddr(way.blockId * kBlockBytes);
+                : tenantOfAddr(block_tag::blockId(way.tag()) *
+                               kBlockBytes);
         if (!quota_.mayFill(tenant, !found_invalid,
                             victim_tenant)) {
             quota_bypass_.inc();
@@ -169,9 +163,7 @@ BlockCache::fillBlock(Cycle when, Addr block_addr, bool dirty)
         evictWay(when, set, way);
     quota_.charge(tenantOfAddr(block_addr));
 
-    way.blockId = blockNumber(block_addr);
-    way.valid = true;
-    way.dirty = dirty;
+    way.setTag(block_tag::make(blockNumber(block_addr), dirty));
     way.lastUse = ++tick_;
 
     // Data write into the row plus the off-critical-path tag
@@ -207,8 +199,9 @@ BlockCache::access(Cycle now, const MemRequest &req)
 
     if (missmap_.present(block_addr)) {
         // MissMap guarantees presence: compound access serves it.
-        Way *way = findWay(block_addr, true);
-        FPC_ASSERT(way != nullptr);
+        const std::size_t i = findWay(block_addr);
+        FPC_ASSERT(i != kNoWay);
+        ways_[i].lastUse = ++tick_;
         hits_.inc();
         if (!timed())
             return {t, true};
@@ -235,10 +228,12 @@ BlockCache::writeback(Cycle now, Addr block_addr)
     const Cycle t = now + config_.missMapLatencyCycles;
 
     if (missmap_.present(block_addr)) {
-        Way *way = findWay(block_addr, true);
-        FPC_ASSERT(way != nullptr);
+        const std::size_t i = findWay(block_addr);
+        FPC_ASSERT(i != kNoWay);
+        Way &way = ways_[i];
+        way.lastUse = ++tick_;
         wb_hits_.inc();
-        way->dirty = true;
+        way.setTag(way.tag() | block_tag::kDirty);
         if (timed())
             stacked_.compoundAccess(t, rowAddr(setOf(block_addr)),
                                     true);
@@ -272,7 +267,7 @@ BlockCache::finalizeIntrospection()
         const std::size_t base = set * config_.dataBlocksPerRow;
         std::uint64_t n = 0;
         for (unsigned w = 0; w < config_.dataBlocksPerRow; ++w) {
-            if (ways_[base + w].valid)
+            if (block_tag::valid(ways_[base + w].tag()))
                 ++n;
         }
         if (n)

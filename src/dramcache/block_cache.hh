@@ -20,6 +20,7 @@
 
 #include "common/stats.hh"
 #include "dram/system.hh"
+#include "dramcache/block_tag.hh"
 #include "dramcache/interface.hh"
 #include "dramcache/missmap.hh"
 #include "tenant/partition.hh"
@@ -115,18 +116,47 @@ class BlockCache : public MemorySystem
         return num_sets_ * config_.dataBlocksPerRow * kBlockBytes;
     }
 
+    /** Is @p block_addr's block cached? (No LRU update.) */
+    bool
+    contains(Addr block_addr) const
+    {
+        return findWay(block_addr) != kNoWay;
+    }
+
     MissMap &missMap() { return missmap_; }
     const Config &config() const { return config_; }
     const StatGroup &stats() const { return stats_; }
 
   private:
+    /**
+     * One way, packed to 12 bytes so a 30-way set spans six cache
+     * lines: the block_tag word, split into 32-bit halves so the
+     * struct needs only 4-byte alignment, plus a 32-bit LRU stamp.
+     * The stamp wraps like SetAssocCache::LineMeta's after 4G
+     * fills and hits in one cache; past that point replacement
+     * quality degrades (wrapped entries look recent) but behavior
+     * stays deterministic.
+     */
     struct Way
     {
-        Addr blockId = 0;
-        std::uint64_t lastUse = 0;
-        bool valid = false;
-        bool dirty = false;
+        std::uint32_t tagLo = 0;
+        std::uint32_t tagHi = 0;
+        std::uint32_t lastUse = 0;
+
+        std::uint64_t
+        tag() const
+        {
+            return std::uint64_t{tagHi} << 32 | tagLo;
+        }
+
+        void
+        setTag(std::uint64_t word)
+        {
+            tagLo = static_cast<std::uint32_t>(word);
+            tagHi = static_cast<std::uint32_t>(word >> 32);
+        }
     };
+    static_assert(sizeof(Way) == 12);
 
     std::uint64_t
     setOf(Addr block_addr) const
@@ -143,7 +173,11 @@ class BlockCache : public MemorySystem
         return set << row_shift_;
     }
 
-    Way *findWay(Addr block_addr, bool touch);
+    /** findWay() result when the block is not cached. */
+    static constexpr std::size_t kNoWay = ~std::size_t{0};
+
+    /** Index into ways_ of @p block_addr's way, or kNoWay. */
+    std::size_t findWay(Addr block_addr) const;
 
     /**
      * Install @p block_addr into its set; evicts LRU if needed.
@@ -166,7 +200,7 @@ class BlockCache : public MemorySystem
     std::uint64_t set_mask_;
     /** floorLog2(rowBytes). */
     unsigned row_shift_;
-    std::uint64_t tick_ = 0;
+    std::uint32_t tick_ = 0;
     std::vector<Way> ways_;
     /** Per-tenant set ranges (disabled outside setpart). */
     SetPartitionSpec partition_;

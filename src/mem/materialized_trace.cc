@@ -6,26 +6,47 @@
 
 namespace fpc {
 
+namespace {
+
+/** Resize @p column to exactly @p n elements of capacity. */
+template <typename T>
+void
+resizeExact(std::vector<T> &column, std::size_t n)
+{
+    column.reserve(n);
+    column.resize(n);
+}
+
+} // namespace
+
 void
 MaterializedTrace::append(const TraceRecord *recs, std::size_t n)
 {
     while (n > 0) {
         const std::size_t fill = static_cast<std::size_t>(
             size_ % kChunkRecords);
-        if (fill == 0 && size_ == numChunks() * kChunkRecords) {
-            // Chunks are pre-sized once; the fill cursor (derived
-            // from size_) tracks how much of the tail chunk is
-            // valid, so appends are raw pointer stores.
+        if (fill == 0 && size_ == numChunks() * kChunkRecords)
             chunks_.emplace_back();
-            Chunk &fresh = chunks_.back();
-            fresh.paddr.resize(kChunkRecords);
-            fresh.pc.resize(kChunkRecords);
-            fresh.gap.resize(kChunkRecords);
-            fresh.op.resize(kChunkRecords);
-        }
         Chunk &c = chunks_.back();
         const std::size_t take =
             std::min(kChunkRecords - fill, n);
+        if (c.paddr.size() < fill + take) {
+            // Chunks are sized once (twice only when an append
+            // overruns the plan); the fill cursor (derived from
+            // size_) tracks how much of the tail chunk is valid,
+            // so appends are raw pointer stores.
+            const std::uint64_t start = size_ - fill;
+            std::size_t records = kChunkRecords;
+            if (planned_ >= start + fill + take) {
+                records = static_cast<std::size_t>(
+                    std::min<std::uint64_t>(kChunkRecords,
+                                            planned_ - start));
+            }
+            resizeExact(c.paddr, records);
+            resizeExact(c.pc, records);
+            resizeExact(c.gap, records);
+            resizeExact(c.op, records);
+        }
         Addr *pa = c.paddr.data() + fill;
         Pc *pp = c.pc.data() + fill;
         std::uint32_t *pg = c.gap.data() + fill;
@@ -74,13 +95,26 @@ MaterializedTrace::fill(std::uint64_t begin, TraceRecord *out,
     }
 }
 
+std::uint64_t
+MaterializedTrace::allocatedBytes() const
+{
+    std::uint64_t bytes = 0;
+    for (const Chunk &c : chunks_) {
+        bytes += c.paddr.capacity() * sizeof(Addr) +
+                 c.pc.capacity() * sizeof(Pc) +
+                 c.gap.capacity() * sizeof(std::uint32_t) +
+                 c.op.capacity() * sizeof(std::uint8_t);
+    }
+    return bytes;
+}
+
 MaterializedTrace::ChunkView
 MaterializedTrace::chunk(std::size_t i) const
 {
     FPC_ASSERT(i < chunks_.size());
     const Chunk &c = chunks_[i];
-    // The tail chunk is pre-sized; only the filled prefix is
-    // valid data.
+    // The tail chunk may be pre-sized past the records appended;
+    // only the filled prefix is valid data.
     const std::uint64_t prior =
         static_cast<std::uint64_t>(i) * kChunkRecords;
     const std::size_t valid = static_cast<std::size_t>(

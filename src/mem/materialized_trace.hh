@@ -13,10 +13,13 @@
  *
  * The arena is chunked so generation can stream: the producer
  * appends record spans and only the current chunk is ever
- * resized. Readers reassemble records into a small per-source
- * staging buffer, which keeps the shared arena strictly read-only
- * (consumers are allowed to stamp coreId into the spans they
- * acquire — they only ever touch their own staging copy).
+ * resized. A producer that knows its record count plans it up
+ * front, so the tail chunk is sized to the remainder and every
+ * allocated column byte holds a record. Readers reassemble
+ * records into a small per-source staging buffer, which keeps the
+ * shared arena strictly read-only (consumers are allowed to stamp
+ * coreId into the spans they acquire — they only ever touch their
+ * own staging copy).
  */
 
 #ifndef FPC_MEM_MATERIALIZED_TRACE_HH
@@ -50,6 +53,14 @@ class MaterializedTrace : public TraceCacheEntry
         sizeof(Addr) + sizeof(Pc) + sizeof(std::uint32_t) +
         sizeof(std::uint8_t);
 
+    /**
+     * Plan the arena for @p records records in total: chunks are
+     * then sized so that, once exactly that many are appended, no
+     * column byte is spare. Without a plan, or past it, chunks
+     * are kChunkRecords long.
+     */
+    void plan(std::uint64_t records) { planned_ = records; }
+
     /** Append @p n records to the arena (producer side). */
     void append(const TraceRecord *recs, std::size_t n);
 
@@ -64,12 +75,18 @@ class MaterializedTrace : public TraceCacheEntry
     void fill(std::uint64_t begin, TraceRecord *out,
               std::size_t n) const;
 
-    /** Column data footprint (TraceCache budget accounting). */
+    /**
+     * Column data footprint (TraceCache budget accounting). Equal
+     * to allocatedBytes() once a planned build is complete.
+     */
     std::uint64_t
     cacheBytes() const override
     {
         return size_ * kBytesPerRecord;
     }
+
+    /** Column bytes allocated, spare tail capacity included. */
+    std::uint64_t allocatedBytes() const;
 
     /** One chunk's column spans (for columnar consumers). */
     struct ChunkView
@@ -95,6 +112,7 @@ class MaterializedTrace : public TraceCacheEntry
 
     std::vector<Chunk> chunks_;
     std::uint64_t size_ = 0;
+    std::uint64_t planned_ = 0;
 };
 
 /**

@@ -326,6 +326,7 @@ materializeTrace(const WorkloadSpec &spec, std::uint64_t records,
                  MaterializedTrace &out)
 {
     SyntheticTraceSource src(spec);
+    out.plan(out.size() + records);
     std::uint64_t pulled = 0;
     while (pulled < records) {
         TraceRecord *span = nullptr;

@@ -598,10 +598,11 @@ TEST_F(ResilienceTest, JsonEscapesControlCharacters)
     bool in_string = false;
     for (std::size_t i = 0; i < json.size(); ++i) {
         const char c = json[i];
-        if (c == '"')
+        if (c == '"') {
             in_string = !in_string;
-        else if (in_string)
+        } else if (in_string) {
             EXPECT_GE(static_cast<unsigned char>(c), 0x20u);
+        }
     }
 }
 

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
+#include "workload/spec.hh"
 
 namespace fpc {
 namespace {
@@ -140,6 +143,100 @@ TEST_P(ZipfSkew, HeadBeatsTail)
 INSTANTIATE_TEST_SUITE_P(Exponents, ZipfSkew,
                          ::testing::Values(0.3, 0.6, 0.9, 1.0,
                                            1.2));
+
+/**
+ * The textbook Vose build the in-place one must reproduce: a
+ * separate weight array and explicit small/large index stacks.
+ */
+AliasZipfSampler::Tables
+classicAliasTables(std::uint64_t n, double s)
+{
+    std::vector<double> scaled(n);
+    double total = 0.0;
+    for (std::uint64_t i = 0; i < n; ++i) {
+        scaled[i] = std::pow(static_cast<double>(i + 1), -s);
+        total += scaled[i];
+    }
+    const double scale = static_cast<double>(n) / total;
+    for (double &p : scaled)
+        p *= scale;
+
+    AliasZipfSampler::Tables t;
+    t.thresh.resize(n);
+    t.alias.resize(n);
+    std::vector<std::uint32_t> small, large;
+    for (std::uint64_t i = 0; i < n; ++i) {
+        (scaled[i] < 1.0 ? small : large)
+            .push_back(static_cast<std::uint32_t>(i));
+    }
+    while (!small.empty() && !large.empty()) {
+        const std::uint32_t s_idx = small.back();
+        small.pop_back();
+        const std::uint32_t l_idx = large.back();
+        large.pop_back();
+        t.thresh[s_idx] = AliasZipfSampler::toThreshold(scaled[s_idx]);
+        t.alias[s_idx] = l_idx;
+        scaled[l_idx] = (scaled[l_idx] + scaled[s_idx]) - 1.0;
+        (scaled[l_idx] < 1.0 ? small : large).push_back(l_idx);
+    }
+    for (const auto *rest : {&large, &small}) {
+        for (std::uint32_t i : *rest) {
+            t.thresh[i] = ~std::uint64_t{0};
+            t.alias[i] = i;
+        }
+    }
+    return t;
+}
+
+/** Element-by-element identity of the two builds; true if equal. */
+bool
+inPlaceMatchesClassic(std::uint64_t n, double s)
+{
+    const auto built = AliasZipfSampler::buildTables(n, s);
+    const AliasZipfSampler::Tables ref = classicAliasTables(n, s);
+    EXPECT_EQ(built->thresh.size(), n);
+    EXPECT_EQ(built->alias.size(), n);
+    for (std::uint64_t i = 0; i < n; ++i) {
+        if (built->thresh[i] != ref.thresh[i] ||
+            built->alias[i] != ref.alias[i]) {
+            ADD_FAILURE() << "n=" << n << " s=" << s
+                          << ": first difference at bucket " << i;
+            return false;
+        }
+    }
+    return true;
+}
+
+TEST(AliasZipf, InPlaceBuildMatchesClassicOnEdgeCases)
+{
+    unsigned tables = 0;
+    for (std::uint64_t n : {2ULL, 3ULL, 5ULL, 17ULL, 1000ULL,
+                            4096ULL, 65537ULL}) {
+        for (double s : {1e-9, 1e-6, 1e-3, 0.1, 0.35, 0.5, 0.8,
+                         0.999, 1.0, 1.001, 1.5, 2.0, 3.0, 5.0,
+                         8.0}) {
+            EXPECT_TRUE(inPlaceMatchesClassic(n, s));
+            ++tables;
+        }
+    }
+    EXPECT_EQ(tables, 7u * 15u);
+}
+
+TEST(AliasZipf, InPlaceBuildMatchesClassicOnPresets)
+{
+    // Every (datasetPages, zipfS) pair the workload presets use,
+    // plus the generator's hot-page table (hotPages, 0.8).
+    std::set<std::pair<std::uint64_t, double>> pairs;
+    for (WorkloadKind kind : kAllWorkloads) {
+        const WorkloadSpec spec = makeWorkload(kind);
+        pairs.insert({spec.datasetPages, spec.zipfS});
+        if (spec.hotPages > 1)
+            pairs.insert({spec.hotPages, 0.8});
+    }
+    EXPECT_TRUE(pairs.count({220'000, 0.8}));
+    for (const auto &[n, s] : pairs)
+        EXPECT_TRUE(inPlaceMatchesClassic(n, s));
+}
 
 TEST(Mix64, DifferentInputsScatter)
 {

@@ -152,8 +152,9 @@ TEST(SetAssocCache, RandomReplacementStaysInSet)
     for (unsigned i = 0; i < 100; ++i) {
         CacheAccessResult r =
             c.access(static_cast<Addr>(i) * 0x200, false);
-        if (r.victimValid)
+        if (r.victimValid) {
             EXPECT_EQ(r.victimAddr % 0x200, 0u);
+        }
     }
 }
 

@@ -104,6 +104,73 @@ TEST(MaterializedTrace, AppendFillRoundTrip)
         ASSERT_TRUE(recordsEqual(ref[i], got[i])) << i;
 }
 
+TEST(MaterializedTrace, PlannedBuildAllocatesExactly)
+{
+    // materializeTrace plans the arena: the tail chunk holds the
+    // remainder, so every allocated column byte is a record and
+    // the budget charge is what is resident.
+    const std::uint64_t chunk = MaterializedTrace::kChunkRecords;
+    for (std::uint64_t n : {std::uint64_t{1}, std::uint64_t{5'000},
+                            chunk, chunk + 4'321}) {
+        auto arena = materialize(n);
+        ASSERT_EQ(arena->size(), n);
+        EXPECT_EQ(arena->allocatedBytes(),
+                  n * MaterializedTrace::kBytesPerRecord)
+            << n;
+        EXPECT_EQ(arena->cacheBytes(), arena->allocatedBytes()) << n;
+    }
+}
+
+TEST(MaterializedTrace, PlannedChunksMatchUnplannedAcrossBoundary)
+{
+    const std::uint64_t chunk = MaterializedTrace::kChunkRecords;
+    const std::uint64_t n = chunk + 4'321;
+    const std::vector<TraceRecord> ref = syntheticRecords(n);
+    MaterializedTrace unplanned;
+    for (std::uint64_t pos = 0; pos < n; pos += 4096) {
+        unplanned.append(ref.data() + pos,
+                         std::min<std::uint64_t>(4096, n - pos));
+    }
+    auto planned = materialize(n);
+    ASSERT_EQ(planned->numChunks(), 2u);
+    ASSERT_EQ(unplanned.numChunks(), 2u);
+    for (std::size_t c = 0; c < 2; ++c) {
+        const MaterializedTrace::ChunkView a = planned->chunk(c);
+        const MaterializedTrace::ChunkView b = unplanned.chunk(c);
+        ASSERT_EQ(a.records, c == 0 ? chunk : 4'321u);
+        ASSERT_EQ(a.records, b.records);
+        EXPECT_TRUE(std::equal(a.paddr, a.paddr + a.records, b.paddr));
+        EXPECT_TRUE(std::equal(a.pc, a.pc + a.records, b.pc));
+        EXPECT_TRUE(std::equal(a.gap, a.gap + a.records, b.gap));
+        EXPECT_TRUE(std::equal(a.op, a.op + a.records, b.op));
+    }
+    // fill() straddling the boundary reassembles the same records.
+    std::vector<TraceRecord> got(300);
+    planned->fill(chunk - 150, got.data(), got.size());
+    for (std::size_t i = 0; i < got.size(); ++i)
+        ASSERT_TRUE(recordsEqual(got[i], ref[chunk - 150 + i])) << i;
+}
+
+TEST(MaterializedTrace, AppendPastThePlanGrowsTheTailChunk)
+{
+    const std::vector<TraceRecord> ref = syntheticRecords(5'000);
+    MaterializedTrace arena;
+    arena.plan(1'000);
+    arena.append(ref.data(), 1'000);
+    EXPECT_EQ(arena.allocatedBytes(),
+              1'000 * MaterializedTrace::kBytesPerRecord);
+    arena.append(ref.data() + 1'000, 4'000);
+    ASSERT_EQ(arena.size(), 5'000u);
+    EXPECT_EQ(arena.numChunks(), 1u);
+    EXPECT_EQ(arena.allocatedBytes(),
+              MaterializedTrace::kChunkRecords *
+                  MaterializedTrace::kBytesPerRecord);
+    std::vector<TraceRecord> got(5'000);
+    arena.fill(0, got.data(), got.size());
+    for (std::size_t i = 0; i < got.size(); ++i)
+        ASSERT_TRUE(recordsEqual(got[i], ref[i])) << i;
+}
+
 TEST(ReplayTraceSource, NextMatchesFreshSource)
 {
     const std::uint64_t n = 50'000;
@@ -338,6 +405,29 @@ TEST(TraceCache, TooSmallEntryIsRebuilt)
     EXPECT_EQ(
         std::static_pointer_cast<const FakeEntry>(big)->bytes_,
         200u);
+}
+
+TEST(TraceCache, ArenaRebuiltAtLargerSizeIsExact)
+{
+    TraceCache cache(std::uint64_t{1} << 30);
+    auto build = [](std::uint64_t records) -> TraceCache::EntryPtr {
+        return materialize(records);
+    };
+    const std::uint64_t big = MaterializedTrace::kChunkRecords + 10;
+    auto small = std::static_pointer_cast<const MaterializedTrace>(
+        cache.acquire("trace/k", 3'000, build));
+    auto large = std::static_pointer_cast<const MaterializedTrace>(
+        cache.acquire("trace/k", big, build));
+    EXPECT_EQ(cache.stats().misses, 2u);
+    ASSERT_EQ(small->size(), 3'000u);
+    ASSERT_EQ(large->size(), big);
+    EXPECT_EQ(large->allocatedBytes(), large->cacheBytes());
+    // The rebuilt arena extends the same stream.
+    std::vector<TraceRecord> a(3'000), b(3'000);
+    small->fill(0, a.data(), a.size());
+    large->fill(0, b.data(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i)
+        ASSERT_TRUE(recordsEqual(a[i], b[i])) << i;
 }
 
 TEST(TraceCache, EvictsLruWithinBudgetAndRegenerates)

@@ -53,6 +53,44 @@ TEST(Workload, AllPresetsConstruct)
     }
 }
 
+/** Fold of the first @p n records of @p spec's stream. */
+std::uint64_t
+streamHash(const WorkloadSpec &spec, std::uint64_t n)
+{
+    SyntheticTraceSource src(spec);
+    std::uint64_t h = 0;
+    TraceRecord r;
+    for (std::uint64_t i = 0; i < n; ++i) {
+        EXPECT_TRUE(src.next(0, r));
+        h = mix64(h ^ r.req.paddr);
+        h = mix64(h ^ r.req.pc);
+        h = mix64(h ^ (static_cast<std::uint64_t>(r.computeGap) << 8 |
+                       static_cast<std::uint64_t>(r.req.op)));
+    }
+    return h;
+}
+
+TEST(Workload, PresetStreamsPinned)
+{
+    // The first 100K records of every preset (2KB pages, seed
+    // 42), pinned from the two-list Vose alias-table build: any
+    // change to a table bit or to the generator's draws shows up
+    // here.
+    const std::pair<WorkloadKind, std::uint64_t> pinned[] = {
+        {WorkloadKind::DataServing, 0x8ea1a3f4cfd43678ULL},
+        {WorkloadKind::MapReduce, 0xbc5eb94036b859cfULL},
+        {WorkloadKind::Multiprogrammed, 0xf7e12205fb7a90bdULL},
+        {WorkloadKind::SatSolver, 0x291257d35bed8693ULL},
+        {WorkloadKind::WebFrontend, 0x60d70ae0c5db12cfULL},
+        {WorkloadKind::WebSearch, 0x235afe46d6b94afeULL},
+    };
+    for (const auto &[kind, hash] : pinned) {
+        EXPECT_EQ(streamHash(makeWorkload(kind), 100'000), hash)
+            << workloadName(kind) << std::hex << " 0x"
+            << streamHash(makeWorkload(kind), 100'000);
+    }
+}
+
 TEST(Workload, DeterministicForSameSeed)
 {
     SyntheticTraceSource a(tinySpec());
