@@ -69,8 +69,10 @@ class PointCancelledError : public std::runtime_error
  *   site[@keysub[%pct]]:kind[:times[:skip]]
  *
  *   site    hook name ("point", "point-done", "trace-build",
- *           "warmup-build", "warmup-restore", "report-write",
- *           "journal-write")
+ *           "warmup-build", "warmup-restore", "span-build",
+ *           "table-build", "report-write", "journal-write");
+ *           "table-build" keys are "pages/exponent" of a Zipf
+ *           alias table, e.g. "5242880/0.6"
  *   keysub  substring the hook key must contain (empty = any)
  *   pct     deterministic per-key percentage gate (default 100)
  *   kind    transient | permanent | crash (default transient)

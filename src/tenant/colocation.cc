@@ -193,8 +193,13 @@ runColocationPoint(const ExperimentPoint &point)
     cfg.pod.numTenants = static_cast<unsigned>(tenants.size());
     Experiment exp(cfg, mix);
 
-    // In-band warmup: the mixed post-L2 stream is not design-
-    // independent, so no shared warmup artifact applies.
+    // In-band warmup. The mixed post-L2 stream is design-
+    // independent (functional warmup over a fixed interleave), so
+    // one warm artifact per (mix, warm window) could serve every
+    // design, with the tenant taken from tenantOfAddr. It stays
+    // in-band because cutting those artifacts adds ~0.5-0.7 s of
+    // hierarchy-pass builds to setup and ~57 MB of peak RSS at
+    // benchmark scale (ROADMAP item 3).
     span_t0 = tracer ? tracer->nowUs() : 0;
     t0 = std::chrono::steady_clock::now();
     if (warm > 0)

@@ -1,11 +1,17 @@
-/** @file Unit tests for the deterministic RNG and Zipf sampler. */
+/** @file Unit tests for the deterministic RNG and the alias Zipf sampler. */
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdlib>
 #include <set>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "common/fault.hh"
 #include "common/rng.hh"
 #include "workload/spec.hh"
 
@@ -94,7 +100,7 @@ TEST(Rng, UniformMeanNearHalf)
 TEST(Zipf, SingleElement)
 {
     Rng r(1);
-    ZipfSampler z(1, 1.0);
+    AliasZipfSampler z(1, 1.0);
     for (int i = 0; i < 10; ++i)
         EXPECT_EQ(z(r), 0u);
 }
@@ -102,7 +108,7 @@ TEST(Zipf, SingleElement)
 TEST(Zipf, UniformWhenExponentZero)
 {
     Rng r(23);
-    ZipfSampler z(10, 0.0);
+    AliasZipfSampler z(10, 0.0);
     std::vector<int> counts(10, 0);
     const int n = 100000;
     for (int i = 0; i < n; ++i)
@@ -114,7 +120,7 @@ TEST(Zipf, UniformWhenExponentZero)
 TEST(Zipf, InRange)
 {
     Rng r(29);
-    ZipfSampler z(1000, 0.8);
+    AliasZipfSampler z(1000, 0.8);
     for (int i = 0; i < 10000; ++i)
         EXPECT_LT(z(r), 1000u);
 }
@@ -128,7 +134,7 @@ TEST_P(ZipfSkew, HeadBeatsTail)
 {
     Rng r(31);
     const std::uint64_t n = 10000;
-    ZipfSampler z(n, GetParam());
+    AliasZipfSampler z(n, GetParam());
     std::uint64_t head = 0, tail = 0;
     for (int i = 0; i < 200000; ++i) {
         std::uint64_t v = z(r);
@@ -145,10 +151,19 @@ INSTANTIATE_TEST_SUITE_P(Exponents, ZipfSkew,
                                            1.2));
 
 /**
- * The textbook Vose build the in-place one must reproduce: a
- * separate weight array and explicit small/large index stacks.
+ * The textbook Vose build every chunked one must reproduce: a
+ * separate weight array, a serial index-order sum and explicit
+ * small/large index stacks.
  */
-AliasZipfSampler::Tables
+struct ClassicTables
+{
+    std::vector<std::uint64_t> thresh;
+    std::vector<std::uint32_t> alias;
+    /** First bucket whose scaled weight is below 1 (n if none). */
+    std::uint64_t firstSmall = 0;
+};
+
+ClassicTables
 classicAliasTables(std::uint64_t n, double s)
 {
     std::vector<double> scaled(n);
@@ -161,11 +176,14 @@ classicAliasTables(std::uint64_t n, double s)
     for (double &p : scaled)
         p *= scale;
 
-    AliasZipfSampler::Tables t;
+    ClassicTables t;
     t.thresh.resize(n);
     t.alias.resize(n);
+    t.firstSmall = n;
     std::vector<std::uint32_t> small, large;
     for (std::uint64_t i = 0; i < n; ++i) {
+        if (scaled[i] < 1.0 && t.firstSmall == n)
+            t.firstSmall = i;
         (scaled[i] < 1.0 ? small : large)
             .push_back(static_cast<std::uint32_t>(i));
     }
@@ -188,38 +206,98 @@ classicAliasTables(std::uint64_t n, double s)
     return t;
 }
 
-/** Element-by-element identity of the two builds; true if equal. */
+/** Element-by-element identity with the classic build. */
 bool
-inPlaceMatchesClassic(std::uint64_t n, double s)
+sameTables(const std::uint64_t *thresh, const std::uint32_t *alias,
+           const ClassicTables &ref, const std::string &what)
 {
-    const auto built = AliasZipfSampler::buildTables(n, s);
-    const AliasZipfSampler::Tables ref = classicAliasTables(n, s);
-    EXPECT_EQ(built->thresh.size(), n);
-    EXPECT_EQ(built->alias.size(), n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        if (built->thresh[i] != ref.thresh[i] ||
-            built->alias[i] != ref.alias[i]) {
-            ADD_FAILURE() << "n=" << n << " s=" << s
-                          << ": first difference at bucket " << i;
+    for (std::uint64_t i = 0; i < ref.thresh.size(); ++i) {
+        if (thresh[i] != ref.thresh[i] || alias[i] != ref.alias[i]) {
+            ADD_FAILURE() << what << ": first difference at bucket "
+                          << i;
             return false;
         }
     }
     return true;
 }
 
+std::string
+describe(std::uint64_t n, double s, unsigned chunks)
+{
+    std::ostringstream os;
+    os << "n=" << n << " s=" << s << " chunks=" << chunks;
+    return os.str();
+}
+
+/** buildTables with @p chunks against a precomputed classic build. */
+bool
+chunkedMatches(std::uint64_t n, double s, unsigned chunks,
+               const ClassicTables &ref)
+{
+    const auto built = AliasZipfSampler::buildTables(n, s, chunks);
+    return sameTables(built->thresh.get(), built->alias.get(), ref,
+                      describe(n, s, chunks));
+}
+
 TEST(AliasZipf, InPlaceBuildMatchesClassicOnEdgeCases)
 {
+    // Forced chunk counts cover n divisible and not divisible by
+    // the count, and n below it (the count clamps to n).
     unsigned tables = 0;
     for (std::uint64_t n : {2ULL, 3ULL, 5ULL, 17ULL, 1000ULL,
                             4096ULL, 65537ULL}) {
         for (double s : {1e-9, 1e-6, 1e-3, 0.1, 0.35, 0.5, 0.8,
                          0.999, 1.0, 1.001, 1.5, 2.0, 3.0, 5.0,
                          8.0}) {
-            EXPECT_TRUE(inPlaceMatchesClassic(n, s));
-            ++tables;
+            const ClassicTables ref = classicAliasTables(n, s);
+            for (unsigned chunks : {0u, 1u, 2u, 3u, 7u, 64u}) {
+                EXPECT_TRUE(chunkedMatches(n, s, chunks, ref));
+                ++tables;
+            }
+            // buildTables never value-initializes its storage.
+            // Building over all-zero and over all-one bytes and
+            // matching both times proves no slot keeps its prior
+            // contents: a surviving slot differs from one of them.
+            for (std::uint64_t fill : {std::uint64_t{0},
+                                       ~std::uint64_t{0}}) {
+                std::vector<std::uint64_t> thresh(n, fill);
+                std::vector<std::uint32_t> alias(
+                    n, static_cast<std::uint32_t>(fill));
+                AliasZipfSampler::buildInto(n, s, 3, thresh.data(),
+                                            alias.data());
+                EXPECT_TRUE(sameTables(thresh.data(), alias.data(),
+                                       ref,
+                                       describe(n, s, 3) + " over " +
+                                           std::to_string(fill)));
+                ++tables;
+            }
         }
     }
-    EXPECT_EQ(tables, 7u * 15u);
+    EXPECT_EQ(tables, 7u * 15u * 8u);
+
+    // A chunk boundary on the first under-full bucket, one bucket
+    // before it and one after it: where the over-full prefix the
+    // pairing starts from meets the under-full suffix.
+    std::set<int> offsets_hit;
+    for (double s : {0.35, 0.8, 1.0, 2.0}) {
+        for (std::uint64_t n = 8; n <= 200; ++n) {
+            const ClassicTables ref = classicAliasTables(n, s);
+            for (unsigned chunks = 2; chunks <= 6; ++chunks) {
+                for (unsigned c = 1; c < chunks; ++c) {
+                    const auto begin =
+                        AliasZipfSampler::chunkBegin(n, chunks, c);
+                    const auto offset =
+                        static_cast<std::int64_t>(begin) -
+                        static_cast<std::int64_t>(ref.firstSmall);
+                    if (offset < -1 || offset > 1)
+                        continue;
+                    offsets_hit.insert(static_cast<int>(offset));
+                    EXPECT_TRUE(chunkedMatches(n, s, chunks, ref));
+                }
+            }
+        }
+    }
+    EXPECT_EQ(offsets_hit, (std::set<int>{-1, 0, 1}));
 }
 
 TEST(AliasZipf, InPlaceBuildMatchesClassicOnPresets)
@@ -234,8 +312,43 @@ TEST(AliasZipf, InPlaceBuildMatchesClassicOnPresets)
             pairs.insert({spec.hotPages, 0.8});
     }
     EXPECT_TRUE(pairs.count({220'000, 0.8}));
-    for (const auto &[n, s] : pairs)
-        EXPECT_TRUE(inPlaceMatchesClassic(n, s));
+    for (const auto &[n, s] : pairs) {
+        const ClassicTables ref = classicAliasTables(n, s);
+        for (unsigned chunks : {0u, 3u})
+            EXPECT_TRUE(chunkedMatches(n, s, chunks, ref));
+    }
+}
+
+TEST(AliasZipf, FailedBuildReleasesItsClaim)
+{
+    // An (n, s) no other test uses, so no live sampler already
+    // holds its tables.
+    const std::uint64_t n = 1234;
+    const double s = 0.777;
+    ASSERT_TRUE(FaultInjector::instance().configure(
+        "table-build@" + AliasZipfSampler::faultKey(n, s) +
+        ":transient:1"));
+    EXPECT_THROW(AliasZipfSampler(n, s), TransientError);
+
+    // The retry must build the tables, not wait forever on the
+    // failed build's claim. It runs in a child process whose
+    // alarm bounds the wait, so a leaked claim fails the test
+    // instead of hanging the suite.
+    EXPECT_EXIT(
+        {
+            ::alarm(30);
+            const AliasZipfSampler retried(n, s);
+            const auto &t = retried.tables();
+            std::exit(t != nullptr &&
+                              sameTables(t->thresh.get(),
+                                         t->alias.get(),
+                                         classicAliasTables(n, s),
+                                         "retry")
+                          ? 0
+                          : 1);
+        },
+        ::testing::ExitedWithCode(0), "");
+    FaultInjector::instance().reset();
 }
 
 TEST(Mix64, DifferentInputsScatter)
