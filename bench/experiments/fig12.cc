@@ -14,7 +14,6 @@
 #include "dram/system.hh"
 #include "experiments/experiments.hh"
 #include "sim/pod_system.hh"
-#include "telemetry/trace_events.hh"
 #include "workload/analysis.hh"
 #include "workload/generator.hh"
 
@@ -44,16 +43,11 @@ runHotPages(const ExperimentPoint &point)
     PointResult out;
     // The whole bespoke run is its measured window: one phase
     // span keeps the fig12 lane consistent with standard points.
-    SpanTracer *tracer = point.tracer;
-    const std::uint64_t span_t0 = tracer ? tracer->nowUs() : 0;
+    const PhaseTimer measure_phase(point);
     out.metrics = pod.run(
         0, static_cast<std::uint64_t>(12e6 * point.scale));
-    if (tracer)
-        tracer->span("phase", "measure:" + point.key(), span_t0,
-                     tracer->nowUs());
-    out.intervals = pod.intervals();
-    if (const TelemetryProbe *probe = pod.probe())
-        appendProbeExtras(*probe, out.extra);
+    out.timing.measureSeconds = measure_phase.stop("measure");
+    harvestTelemetry(pod, out);
     for (double f : kFractions) {
         out.extra.emplace_back(
             "ideal_mb_" + std::to_string(

@@ -9,7 +9,10 @@
  *   sweep --filter fig0,table --workload WebSearch
  *
  * --filter takes comma-separated substrings matched against
- * experiment names (empty = all). Points from every selected
+ * experiment names (empty = all). No registry name is a
+ * substring of another, so `--filter NAME` runs exactly one
+ * experiment — the way to run a single figure or table. Points
+ * from every selected
  * experiment go into ONE work queue, so a wide shard pool stays
  * busy even while a long-tailed experiment drains. The exit code
  * is nonzero if any selected experiment is missing from the

@@ -51,10 +51,9 @@ Usage:
 """
 
 import argparse
-import json
 import sys
 
-from counters import TENANT
+from counters import TENANT, load_json, report_points
 
 
 def ns_per_record(design_entry):
@@ -71,17 +70,14 @@ def ns_per_record(design_entry):
 # proves the same invariant in-process; this guards the shipped
 # artifact).
 def check_colocation(path, min_pairs, min_designs):
-    with open(path) as f:
-        report = json.load(f)
-    exp = report.get("experiments", {}).get("colocation")
-    if exp is None:
+    points = report_points(path, "colocation", keep_failed=True)
+    if points is None:
         print(f"{path}: no colocation experiment in the report")
         return 1
-    points = exp["points"]
     pairs, designs = set(), set()
     violations = 0
     tenant_points = 0
-    for p in points:
+    for p in points.values():
         tenants = p.get("tenants", [])
         if not tenants:
             print(f"{p['key']}: no per-tenant metrics")
@@ -117,9 +113,7 @@ def check_colocation(path, min_pairs, min_designs):
 
 
 def check_telemetry_budget(path, budget_pct):
-    with open(path) as f:
-        doc = json.load(f)
-    tel = doc.get("telemetry")
+    tel = load_json(path).get("telemetry")
     if tel is None:
         print(f"{path}: no telemetry section (regenerate "
               f"BENCH_engine.json with a full perf_engine run)")
@@ -201,12 +195,8 @@ def main():
                      "or --telemetry-json is required")
         return rc
 
-    with open(args.baseline) as f:
-        base = json.load(f)
-    currents = []
-    for path in args.current:
-        with open(path) as f:
-            currents.append(json.load(f))
+    base = load_json(args.baseline)
+    currents = [load_json(path) for path in args.current]
 
     # Mixed scales are not comparable: the design-vs-baseline
     # ratios shift systematically with the window scale, which

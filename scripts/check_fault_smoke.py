@@ -21,25 +21,9 @@ Usage:
 """
 
 import argparse
-import json
 import sys
 
-
-def load_points(path):
-    """Map of point key -> point object across all experiments."""
-    with open(path, "r", encoding="utf-8") as f:
-        report = json.load(f)
-    points = {}
-    for name, exp in report.get("experiments", {}).items():
-        for point in exp.get("points", []):
-            key = point.get("key")
-            if not key:
-                raise SystemExit(
-                    f"{path}: point without a key in {name}")
-            if key in points:
-                raise SystemExit(f"{path}: duplicate key {key}")
-            points[key] = point
-    return points
+from counters import report_points
 
 
 def strip_execution_detail(point):
@@ -68,8 +52,8 @@ def main():
                          "must contain")
     args = ap.parse_args()
 
-    clean = load_points(args.clean)
-    faulted = load_points(args.faulted)
+    clean = report_points(args.clean, keep_failed=True)
+    faulted = report_points(args.faulted, keep_failed=True)
     if set(clean) != set(faulted):
         only_clean = sorted(set(clean) - set(faulted))[:5]
         only_faulted = sorted(set(faulted) - set(clean))[:5]

@@ -37,8 +37,9 @@ Usage:
 """
 
 import argparse
-import json
 import sys
+
+from counters import load_json, report_points
 
 EXPERIMENT = "sampling_validation"
 
@@ -59,17 +60,11 @@ EXACT_FORMULAS = {
 }
 
 
-def load(path):
-    with open(path) as f:
-        return json.load(f)
-
-
-def validation_points(report):
-    exp = report.get("experiments", {}).get(EXPERIMENT)
-    if exp is None:
+def validation_points(by_key):
+    if by_key is None:
         print(f"FAIL: no {EXPERIMENT} experiment in the report")
         return None
-    return [p for p in exp.get("points", []) if not p.get("failed")]
+    return list(by_key.values())
 
 
 def pair_points(points):
@@ -102,8 +97,8 @@ def check_schema(sampled):
     return problems
 
 
-def check_coverage(report, min_coverage):
-    points = validation_points(report)
+def check_coverage(by_key, min_coverage):
+    points = validation_points(by_key)
     if points is None:
         return 1
     pairs = pair_points(points)
@@ -151,12 +146,12 @@ def check_coverage(report, min_coverage):
     return 0
 
 
-def check_speedup(report, timing_path, min_speedup):
-    points = validation_points(report)
+def check_speedup(by_key, timing_path, min_speedup):
+    points = validation_points(by_key)
     if points is None:
         return 1
     wanted = {p["key"] for p in points}
-    timing = load(timing_path)
+    timing = load_json(timing_path)
     if timing.get("bench") != "sweep_timing":
         print(f"{timing_path}: not a sweep_timing artifact")
         return 1
@@ -212,10 +207,10 @@ def main():
     ap.add_argument("--min-speedup", type=float, default=5.0)
     args = ap.parse_args()
 
-    report = load(args.report)
-    rc = check_coverage(report, args.min_coverage)
+    by_key = report_points(args.report, EXPERIMENT)
+    rc = check_coverage(by_key, args.min_coverage)
     if args.timing:
-        rc |= check_speedup(report, args.timing,
+        rc |= check_speedup(by_key, args.timing,
                             args.min_speedup)
     return rc
 

@@ -54,40 +54,25 @@ Usage:
 """
 
 import argparse
-import json
 import os
 import sys
 
-from counters import METRICS, TENANT, series_column
+from counters import (METRICS, TENANT, load_json, report_points,
+                      series_column)
 
 # Journal format check_journal accepts (src/sim/journal.cc kMagic).
 JOURNAL_MAGIC = "fpcjournal 5"
 
 
-def load(path):
-    with open(path) as f:
-        return json.load(f)
-
-
-def report_points_by_key(report):
-    points = {}
-    for exp in report.get("experiments", {}).values():
-        for p in exp.get("points", []):
-            if not p.get("failed"):
-                points[p["key"]] = p
-    return points
-
-
 def check_timeseries(ts_path, report_path):
-    ts = load(ts_path)
-    report = load(report_path)
+    ts = load_json(ts_path)
     if ts.get("bench") != "sweep_timeseries":
         print(f"{ts_path}: not a sweep_timeseries artifact")
         return 1
     if ts.get("interval_records", 0) <= 0:
         print(f"{ts_path}: interval_records must be positive")
         return 1
-    by_key = report_points_by_key(report)
+    by_key = report_points(report_path)
     violations = 0
     checked = 0
     for series in ts.get("points", []):
@@ -187,12 +172,11 @@ def check_cells(key, what, obj, names, expected_len):
 
 
 def check_heatmap(heatmap_path, report_path):
-    doc = load(heatmap_path)
+    doc = load_json(heatmap_path)
     if doc.get("bench") != "sweep_heatmap":
         print(f"{heatmap_path}: not a sweep_heatmap artifact")
         return 1
-    by_key = report_points_by_key(load(report_path)) \
-        if report_path else {}
+    by_key = report_points(report_path) if report_path else {}
     violations = 0
     checked = 0
     grids = 0
@@ -290,7 +274,7 @@ def check_journal(journal_dir):
 
 
 def check_trace(trace_path, min_events):
-    doc = load(trace_path)
+    doc = load_json(trace_path)
     events = doc.get("traceEvents")
     if not isinstance(events, list):
         print(f"{trace_path}: no traceEvents list")

@@ -3,9 +3,10 @@
  * Experiment registry: every figure/table/ablation target declares
  * itself as a named entry — a builder that expands the experiment
  * into ExperimentPoints and a reporter that renders the collected
- * results as the paper-shaped table. The per-figure binaries, the
- * unified `sweep` CLI and the tests all drive entries through the
- * same SweepRunner; nothing about a point's seed or result depends
+ * results as the paper-shaped table. The `sweep` CLI
+ * (`sweep --filter NAME` runs one entry) and the tests drive
+ * entries through the same SweepRunner; nothing about a point's
+ * seed or result depends
  * on registration order (tests/test_sweep.cc).
  */
 

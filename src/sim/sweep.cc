@@ -5,11 +5,15 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cctype>
+#include <cerrno>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <new>
 #include <optional>
@@ -104,101 +108,135 @@ ResilienceOptions::fromSweepOptions(const SweepOptions &opts)
     return res;
 }
 
+namespace {
+
+/**
+ * Parse all of @p text as a decimal count no larger than @p max
+ * into @p out (untouched on failure). Signs, blanks, trailing
+ * bytes and overflow are rejected.
+ */
+template <typename T>
+bool
+parseCount(const char *text, T &out,
+           std::uint64_t max = std::numeric_limits<T>::max())
+{
+    if (!std::isdigit(static_cast<unsigned char>(*text)))
+        return false;
+    errno = 0;
+    char *end = nullptr;
+    const unsigned long long v = std::strtoull(text, &end, 10);
+    if (errno == ERANGE || *end != '\0' || v > max)
+        return false;
+    out = static_cast<T>(v);
+    return true;
+}
+
+/**
+ * Parse all of @p text as a finite real that is > 0 (@p positive)
+ * or >= 0 into @p out (untouched on failure).
+ */
+bool
+parseReal(const char *text, bool positive, double &out)
+{
+    errno = 0;
+    char *end = nullptr;
+    const double v = std::strtod(text, &end);
+    if (end == text || *end != '\0' || errno == ERANGE ||
+        !std::isfinite(v) || v < 0.0 || (positive && v == 0.0))
+        return false;
+    out = v;
+    return true;
+}
+
+} // namespace
+
 bool
 parseCommonFlag(SweepOptions &opts, int argc, char **argv, int &i)
 {
-    if (!std::strcmp(argv[i], "--quick")) {
+    const auto is = [flag = argv[i]](const char *name) {
+        return !std::strcmp(flag, name);
+    };
+    if (is("--quick")) {
         // A quarter of the 0.4 default, not 0.25 absolute.
         opts.scale = 0.1;
-    } else if (!std::strcmp(argv[i], "--scale") && i + 1 < argc) {
-        opts.scale = std::atof(argv[++i]);
-    } else if ((!std::strcmp(argv[i], "--seed") ||
-                !std::strcmp(argv[i], "--base-seed")) &&
-               i + 1 < argc) {
-        // --base-seed is the explicit alias: it names what the
-        // value is (the base of every trace-identity seed), so
-        // interference runs can be replicated under different
-        // seeds without recompiling. Trace identities include
-        // the seed — changing it regenerates every trace.
-        opts.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (!std::strcmp(argv[i], "--workload") &&
-               i + 1 < argc) {
-        opts.workloadFilter = argv[++i];
-    } else if (!std::strcmp(argv[i], "--jobs") && i + 1 < argc) {
-        opts.jobs = static_cast<unsigned>(
-            std::strtoul(argv[++i], nullptr, 10));
-    } else if (!std::strcmp(argv[i], "--no-trace-cache")) {
+    } else if (is("--no-trace-cache")) {
         opts.traceCache = false;
-    } else if (!std::strcmp(argv[i], "--trace-cache-mb") &&
-               i + 1 < argc) {
-        opts.traceCacheMb = std::strtoull(argv[++i], nullptr, 10);
-    } else if (!std::strcmp(argv[i], "--time")) {
+    } else if (is("--time")) {
         opts.time = true;
-    } else if (!std::strcmp(argv[i], "--time-out") &&
-               i + 1 < argc) {
-        opts.time = true;
-        opts.timeOut = argv[++i];
-    } else if (!std::strcmp(argv[i], "--journal") &&
-               i + 1 < argc) {
-        opts.journalDir = argv[++i];
-    } else if (!std::strcmp(argv[i], "--resume")) {
+    } else if (is("--resume")) {
         opts.resume = true;
-    } else if (!std::strcmp(argv[i], "--retries") &&
-               i + 1 < argc) {
-        opts.retries = static_cast<unsigned>(
-            std::strtoul(argv[++i], nullptr, 10));
-    } else if (!std::strcmp(argv[i], "--backoff-ms") &&
-               i + 1 < argc) {
-        opts.backoffMs = static_cast<unsigned>(
-            std::strtoul(argv[++i], nullptr, 10));
-    } else if (!std::strcmp(argv[i], "--point-deadline-s") &&
-               i + 1 < argc) {
-        opts.pointDeadlineS = std::atof(argv[++i]);
-    } else if (!std::strcmp(argv[i], "--fault-plan") &&
-               i + 1 < argc) {
-        opts.faultPlan = argv[++i];
-    } else if (!std::strcmp(argv[i], "--interval-records") &&
-               i + 1 < argc) {
-        opts.intervalRecords =
-            std::strtoull(argv[++i], nullptr, 10);
-    } else if (!std::strcmp(argv[i], "--histograms")) {
+    } else if (is("--histograms")) {
         opts.histograms = true;
-    } else if (!std::strcmp(argv[i], "--timeseries-out") &&
-               i + 1 < argc) {
-        opts.timeseriesOut = argv[++i];
-    } else if (!std::strcmp(argv[i], "--miss-attribution") &&
-               i + 1 < argc) {
-        opts.missAttribution = static_cast<unsigned>(
-            std::strtoul(argv[++i], nullptr, 10));
-    } else if (!std::strcmp(argv[i], "--design-probes")) {
+    } else if (is("--design-probes")) {
         opts.designProbes = true;
-    } else if (!std::strcmp(argv[i], "--heatmap-out") &&
-               i + 1 < argc) {
-        opts.heatmapOut = argv[++i];
-    } else if (!std::strcmp(argv[i], "--trace-out") &&
-               i + 1 < argc) {
-        opts.traceOut = argv[++i];
-    } else if (!std::strcmp(argv[i], "--sample-mode")) {
+    } else if (is("--sample-mode")) {
         opts.sampleMode = true;
-    } else if (!std::strcmp(argv[i], "--sample-intervals") &&
-               i + 1 < argc) {
-        // The tuning flags imply the mode, like --time-out
-        // implies --time.
-        opts.sampleMode = true;
-        opts.sampleIntervals = static_cast<unsigned>(
-            std::strtoul(argv[++i], nullptr, 10));
-    } else if (!std::strcmp(argv[i],
-                            "--sample-interval-records") &&
-               i + 1 < argc) {
-        opts.sampleMode = true;
-        opts.sampleIntervalRecords =
-            std::strtoull(argv[++i], nullptr, 10);
-    } else if (!std::strcmp(argv[i], "--sample-target-ci") &&
-               i + 1 < argc) {
-        opts.sampleMode = true;
-        opts.sampleTargetCi = std::atof(argv[++i]);
     } else {
-        return false;
+        // Valued flags. A missing or malformed value rejects the
+        // whole flag: i stays on it, so the caller prints usage.
+        if (i + 1 >= argc)
+            return false;
+        const char *value = argv[i + 1];
+        bool ok = true;
+        if (is("--scale")) {
+            ok = parseReal(value, true, opts.scale);
+        } else if (is("--seed") || is("--base-seed")) {
+            // --base-seed is the explicit alias: it names what
+            // the value is (the base of every trace-identity
+            // seed), so interference runs can be replicated under
+            // different seeds without recompiling. Trace
+            // identities include the seed — changing it
+            // regenerates every trace.
+            ok = parseCount(value, opts.seed);
+        } else if (is("--workload")) {
+            opts.workloadFilter = value;
+        } else if (is("--jobs")) {
+            ok = parseCount(value, opts.jobs);
+        } else if (is("--trace-cache-mb")) {
+            // The budget is held in bytes (traceCacheConfig).
+            ok = parseCount(value, opts.traceCacheMb,
+                            std::numeric_limits<std::uint64_t>::max() >>
+                                20);
+        } else if (is("--time-out")) {
+            opts.time = true;
+            opts.timeOut = value;
+        } else if (is("--journal")) {
+            opts.journalDir = value;
+        } else if (is("--retries")) {
+            ok = parseCount(value, opts.retries);
+        } else if (is("--backoff-ms")) {
+            ok = parseCount(value, opts.backoffMs);
+        } else if (is("--point-deadline-s")) {
+            ok = parseReal(value, false, opts.pointDeadlineS);
+        } else if (is("--fault-plan")) {
+            opts.faultPlan = value;
+        } else if (is("--interval-records")) {
+            ok = parseCount(value, opts.intervalRecords);
+        } else if (is("--timeseries-out")) {
+            opts.timeseriesOut = value;
+        } else if (is("--miss-attribution")) {
+            ok = parseCount(value, opts.missAttribution);
+        } else if (is("--heatmap-out")) {
+            opts.heatmapOut = value;
+        } else if (is("--trace-out")) {
+            opts.traceOut = value;
+        } else if (is("--sample-intervals")) {
+            // The tuning flags imply the mode, like --time-out
+            // implies --time.
+            ok = parseCount(value, opts.sampleIntervals);
+            opts.sampleMode |= ok;
+        } else if (is("--sample-interval-records")) {
+            ok = parseCount(value, opts.sampleIntervalRecords);
+            opts.sampleMode |= ok;
+        } else if (is("--sample-target-ci")) {
+            ok = parseReal(value, false, opts.sampleTargetCi);
+            opts.sampleMode |= ok;
+        } else {
+            return false;
+        }
+        if (!ok)
+            return false;
+        ++i;
     }
     return true;
 }
@@ -616,6 +654,70 @@ harvestDramGrid(const DramSystem &sys, HeatmapData &hm)
 
 } // namespace
 
+std::string
+traceArenaKey(const ExperimentPoint &point, WorkloadKind workload)
+{
+    return "trace/" + traceIdentityKey(workload, point.cfg.pageBytes,
+                                       point.baseSeed);
+}
+
+std::unique_ptr<TraceSource>
+openPointTrace(const ExperimentPoint &point, WorkloadKind workload,
+               std::uint64_t records, PointTiming &timing,
+               std::shared_ptr<const MaterializedTrace> *arena)
+{
+    const unsigned page_bytes = point.cfg.pageBytes;
+    const std::uint64_t seed =
+        traceIdentitySeed(workload, page_bytes, point.baseSeed);
+    timing.replayedTrace = point.traceCache != nullptr;
+    if (point.traceCache == nullptr)
+        return std::make_unique<SyntheticTraceSource>(
+            makeWorkload(workload, page_bytes, seed));
+    auto replayed = std::static_pointer_cast<const MaterializedTrace>(
+        point.traceCache->acquire(
+            traceArenaKey(point, workload), records,
+            [&](std::uint64_t units) {
+                faultPoint("trace-build",
+                           traceIdentityKey(workload, page_bytes,
+                                            point.baseSeed));
+                timing.generatedTrace = true;
+                auto built = std::make_shared<MaterializedTrace>();
+                materializeTrace(
+                    makeWorkload(workload, page_bytes, seed), units,
+                    *built);
+                return built;
+            }));
+    FPC_ASSERT(replayed->size() >= records);
+    if (arena != nullptr)
+        *arena = replayed;
+    return std::make_unique<ReplayTraceSource>(std::move(replayed));
+}
+
+PhaseTimer::PhaseTimer(const ExperimentPoint &point)
+    : point_(point),
+      spanStartUs_(point.tracer ? point.tracer->nowUs() : 0),
+      start_(std::chrono::steady_clock::now())
+{
+}
+
+double
+PhaseTimer::stop(const char *name) const
+{
+    const double seconds = secondsSince(start_);
+    if (SpanTracer *tracer = point_.tracer)
+        tracer->span("phase", std::string(name) + ":" + point_.key(),
+                     spanStartUs_, tracer->nowUs());
+    return seconds;
+}
+
+void
+harvestTelemetry(const PodSystem &pod, PointResult &out)
+{
+    out.intervals = pod.intervals();
+    if (const TelemetryProbe *probe = pod.probe())
+        appendProbeExtras(*probe, out.extra);
+}
+
 PointResult
 runPoint(const ExperimentPoint &point)
 {
@@ -627,57 +729,19 @@ runPoint(const ExperimentPoint &point)
     PointResult out;
     const std::uint64_t warm = point.warmupWindow();
     const std::uint64_t measure = measureRecords(point.scale);
-    SpanTracer *tracer = point.tracer;
 
-    // Trace acquisition: replay the shared arena when a cache is
-    // wired in, otherwise generate a fresh stream (the two are
-    // bit-identical; tests/test_trace_cache.cc).
-    std::uint64_t span_t0 = tracer ? tracer->nowUs() : 0;
-    auto t0 = std::chrono::steady_clock::now();
-    std::unique_ptr<ReplayTraceSource> replay;
-    std::unique_ptr<SyntheticTraceSource> fresh;
+    const PhaseTimer trace_phase(point);
     std::shared_ptr<const MaterializedTrace> arena;
-    TraceSource *trace = nullptr;
-    if (point.traceCache) {
-        bool generated = false;
-        arena = std::static_pointer_cast<const MaterializedTrace>(
-            point.traceCache->acquire(
-                "trace/" + point.traceKey(), warm + measure,
-                [&](std::uint64_t records) {
-                    faultPoint("trace-build", point.traceKey());
-                    generated = true;
-                    auto built =
-                        std::make_shared<MaterializedTrace>();
-                    materializeTrace(
-                        makeWorkload(point.workload,
-                                     point.cfg.pageBytes,
-                                     point.traceSeed()),
-                        records, *built);
-                    return built;
-                }));
-        FPC_ASSERT(arena->size() >= warm + measure);
-        out.timing.replayedTrace = true;
-        out.timing.generatedTrace = generated;
-        replay = std::make_unique<ReplayTraceSource>(arena);
-        trace = replay.get();
-    } else {
-        fresh = std::make_unique<SyntheticTraceSource>(
-            makeWorkload(point.workload, point.cfg.pageBytes,
-                         point.traceSeed()));
-        trace = fresh.get();
-    }
-    out.timing.traceSeconds = secondsSince(t0);
-    if (tracer)
-        tracer->span("phase", "trace:" + point.key(), span_t0,
-                     tracer->nowUs());
+    const std::unique_ptr<TraceSource> trace = openPointTrace(
+        point, point.workload, warm + measure, out.timing, &arena);
+    out.timing.traceSeconds = trace_phase.stop("trace");
 
     Experiment exp(point.cfg, *trace);
 
     // Warmup: the default functional warmup is design-independent
     // given the trace, so replay points share one WarmupArtifact
     // (hierarchy snapshot + post-L2 op stream) per warm window.
-    span_t0 = tracer ? tracer->nowUs() : 0;
-    t0 = std::chrono::steady_clock::now();
+    const PhaseTimer warm_phase(point);
     // Builders cut from the trace's shared hierarchy pass when the
     // runner planned one, so the whole sweep runs each record of
     // a trace through the hierarchy once.
@@ -711,21 +775,15 @@ runPoint(const ExperimentPoint &point)
         out.timing.builtWarmup = built;
         faultPoint("warmup-restore", point.key());
         exp.pod().applyWarmup(*warm_artifact);
-        replay->seekTo(warm);
+        // A shared arena means openPointTrace replays it.
+        static_cast<ReplayTraceSource &>(*trace).seekTo(warm);
     } else if (warm > 0) {
         exp.run(warm, 0);
     }
-    out.timing.warmupSeconds = secondsSince(t0);
-    if (tracer)
-        tracer->span(
-            "phase",
-            (out.timing.replayedWarmup ? "warmup-restore:"
-                                       : "warmup:") +
-                point.key(),
-            span_t0, tracer->nowUs());
+    out.timing.warmupSeconds = warm_phase.stop(
+        out.timing.replayedWarmup ? "warmup-restore" : "warmup");
 
-    span_t0 = tracer ? tracer->nowUs() : 0;
-    t0 = std::chrono::steady_clock::now();
+    const PhaseTimer measure_phase(point);
     if (point.cfg.pod.sampling.enabled) {
         // Sampled measurement: per period, warm the gap from the
         // design-independent span artifact (op replay + snapshot
@@ -790,17 +848,9 @@ runPoint(const ExperimentPoint &point)
     } else {
         out.metrics = exp.run(0, measure);
     }
-    out.timing.measureSeconds = secondsSince(t0);
-    if (tracer)
-        tracer->span("phase", "measure:" + point.key(), span_t0,
-                     tracer->nowUs());
+    out.timing.measureSeconds = measure_phase.stop("measure");
 
-    // Telemetry harvest: the interval stream rides the result
-    // into the --timeseries-out artifact (and the journal); the
-    // probe's percentile summary becomes report extras.
-    out.intervals = exp.pod().intervals();
-    if (const TelemetryProbe *probe = exp.pod().probe())
-        appendProbeExtras(*probe, out.extra);
+    harvestTelemetry(exp.pod(), out);
 
     if (FootprintCache *fc = exp.footprintCache()) {
         fc->finalizeResidency();
@@ -1030,32 +1080,25 @@ SweepRunner::runResilient(
             // custom runner re-acquiring per sub-run) must plan
             // all of them, or the eager release after its first
             // release would drop the slot while the point still
-            // holds — and will re-acquire — the entry.
-            std::vector<std::pair<std::string, std::uint64_t>>
-                needs;
-            needs.emplace_back("trace/" + p.traceKey(),
-                               p.standardRecords());
-            // Identities a custom run function acquires beyond
-            // its own (a colocation mix's other tenants).
-            for (const auto &need : p.extraTraceNeeds)
-                needs.push_back(need);
-            for (std::size_t a = 0; a < needs.size(); ++a) {
-                std::uint64_t units = needs[a].second;
-                std::uint64_t acquires = 1;
-                bool counted = false;
-                for (std::size_t b = 0; b < needs.size(); ++b) {
-                    if (b == a || needs[b].first != needs[a].first)
-                        continue;
-                    if (b < a) {
-                        counted = true; // already planned with a
-                        break;
-                    }
-                    units = std::max(units, needs[b].second);
-                    ++acquires;
-                }
-                if (!counted)
-                    cache->plan(needs[a].first, units, acquires);
-            }
+            // holds — and will re-acquire — the entry. Keys are
+            // the ones openPointTrace acquires (traceArenaKey);
+            // extraTraceNeeds are the identities a custom run
+            // function acquires beyond its own (a colocation
+            // mix's other tenants).
+            std::map<std::string,
+                     std::pair<std::uint64_t, std::uint64_t>>
+                needs; // key -> (records, acquires)
+            const auto need = [&needs](const std::string &key,
+                                       std::uint64_t records) {
+                auto &[units, acquires] = needs[key];
+                units = std::max(units, records);
+                ++acquires;
+            };
+            need(traceArenaKey(p, p.workload), p.standardRecords());
+            for (const auto &[key, records] : p.extraTraceNeeds)
+                need(key, records);
+            for (const auto &[key, n] : needs)
+                cache->plan(key, n.first, n.second);
             const std::uint64_t warm = p.warmupWindow();
             if (!p.inBandWarmup &&
                 warmupArtifactEligible(p, warm)) {

@@ -25,6 +25,7 @@
 #ifndef FPC_SIM_SWEEP_HH
 #define FPC_SIM_SWEEP_HH
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -265,9 +266,12 @@ struct ResilienceOptions
 unsigned resolveJobs(unsigned jobs);
 
 /**
- * Parse the common sweep flag at argv[i] (--quick, --scale,
- * --seed, --workload, --jobs), advancing i past any value.
- * Returns false when argv[i] is not a common flag.
+ * Parse the common sweep flag at argv[i] (kCommonFlagsUsage),
+ * advancing i past any value. Returns false, leaving i and the
+ * flag's option unchanged, when argv[i] is not a common flag or
+ * its value is missing or malformed: a number must parse in full
+ * and in range (scale finite and > 0; counts non-negative and
+ * within their field; deadline and CI target finite and >= 0).
  */
 bool parseCommonFlag(SweepOptions &opts, int argc, char **argv,
                      int &i);
@@ -553,6 +557,56 @@ struct ExperimentPoint
      */
     std::uint64_t standardRecords() const;
 };
+
+/**
+ * Shared-cache key of the trace arena @p point replays for
+ * @p workload ("trace/" + traceIdentityKey). The runner plans
+ * arenas, colocation points declare their extraTraceNeeds and
+ * the run paths acquire through this one key.
+ */
+std::string traceArenaKey(const ExperimentPoint &point,
+                          WorkloadKind workload);
+
+/**
+ * Open @p workload's trace for @p point, at least @p records
+ * long: replay the shared arena when point.traceCache is wired
+ * (its builder is the "trace-build" fault site), else generate a
+ * fresh stream — the two are bit-identical. Sets the replay and
+ * generation flags of @p timing. @p arena, when given, receives
+ * the replayed arena (left null for a fresh stream).
+ */
+std::unique_ptr<TraceSource>
+openPointTrace(const ExperimentPoint &point, WorkloadKind workload,
+               std::uint64_t records, PointTiming &timing,
+               std::shared_ptr<const MaterializedTrace> *arena =
+                   nullptr);
+
+/**
+ * Wall clock of one phase of a point (trace, warmup, measure):
+ * stop() returns the seconds since construction and, when the
+ * point carries a tracer, records the "phase" span
+ * "<name>:<point key>".
+ */
+class PhaseTimer
+{
+  public:
+    explicit PhaseTimer(const ExperimentPoint &point);
+
+    double stop(const char *name) const;
+
+  private:
+    const ExperimentPoint &point_;
+    std::uint64_t spanStartUs_ = 0;
+    std::chrono::steady_clock::time_point start_;
+};
+
+/**
+ * Telemetry harvest of every run path: the pod's interval stream
+ * rides the result into the --timeseries-out artifact (and the
+ * journal), and the hot-path probe's percentile summary becomes
+ * report extras.
+ */
+void harvestTelemetry(const PodSystem &pod, PointResult &out);
 
 /**
  * Canonical label for a grid point: workload/design/capacity/page

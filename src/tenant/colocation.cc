@@ -2,38 +2,12 @@
 
 #include "tenant/colocation.hh"
 
-#include <chrono>
 #include <stdexcept>
 
 #include "common/logging.hh"
-#include "mem/materialized_trace.hh"
-#include "telemetry/trace_events.hh"
 #include "tenant/mix_source.hh"
-#include "workload/generator.hh"
 
 namespace fpc {
-
-namespace {
-
-double
-secondsSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
-
-/** Shared-arena cache key of one tenant's solo identity. */
-std::string
-tenantTraceKey(const ExperimentPoint &point,
-               const TenantSpec &spec)
-{
-    return "trace/" + traceIdentityKey(spec.workload,
-                                       point.cfg.pageBytes,
-                                       point.baseSeed);
-}
-
-} // namespace
 
 void
 encodeTenantMix(Experiment::Config &cfg,
@@ -126,7 +100,7 @@ makeColocationPoint(const std::vector<TenantSpec> &tenants,
     const std::uint64_t per_tenant = p.standardRecords();
     for (std::size_t t = 1; t < tenants.size(); ++t) {
         p.extraTraceNeeds.emplace_back(
-            tenantTraceKey(p, tenants[t]), per_tenant);
+            traceArenaKey(p, tenants[t].workload), per_tenant);
     }
     return p;
 }
@@ -139,55 +113,22 @@ runColocationPoint(const ExperimentPoint &point)
         decodeTenantMix(point);
     const std::uint64_t warm = point.warmupWindow();
     const std::uint64_t measure = measureRecords(point.scale);
-    SpanTracer *tracer = point.tracer;
 
     // Upper bound on any one tenant's consumption: a tenant
     // whose cores never stall could in principle drain almost
     // the whole window alone, so each stream must hold it all.
     const std::uint64_t per_tenant = warm + measure;
 
-    std::uint64_t span_t0 = tracer ? tracer->nowUs() : 0;
-    auto t0 = std::chrono::steady_clock::now();
+    const PhaseTimer trace_phase(point);
     std::vector<std::unique_ptr<TraceSource>> sources;
     std::vector<unsigned> cores;
-    bool generated = false;
     for (const TenantSpec &spec : tenants) {
-        const std::uint64_t seed = traceIdentitySeed(
-            spec.workload, point.cfg.pageBytes, point.baseSeed);
-        if (point.traceCache) {
-            auto arena = std::static_pointer_cast<
-                const MaterializedTrace>(
-                point.traceCache->acquire(
-                    tenantTraceKey(point, spec), per_tenant,
-                    [&](std::uint64_t records) {
-                        generated = true;
-                        auto built = std::make_shared<
-                            MaterializedTrace>();
-                        materializeTrace(
-                            makeWorkload(spec.workload,
-                                         point.cfg.pageBytes,
-                                         seed),
-                            records, *built);
-                        return built;
-                    }));
-            FPC_ASSERT(arena->size() >= per_tenant);
-            sources.push_back(
-                std::make_unique<ReplayTraceSource>(arena));
-        } else {
-            sources.push_back(
-                std::make_unique<SyntheticTraceSource>(
-                    makeWorkload(spec.workload,
-                                 point.cfg.pageBytes, seed)));
-        }
+        sources.push_back(openPointTrace(point, spec.workload,
+                                         per_tenant, out.timing));
         cores.push_back(spec.cores);
     }
-    out.timing.replayedTrace = point.traceCache != nullptr;
-    out.timing.generatedTrace = generated;
     TenantMixSource mix(std::move(sources), cores);
-    out.timing.traceSeconds = secondsSince(t0);
-    if (tracer)
-        tracer->span("phase", "trace:" + point.key(), span_t0,
-                     tracer->nowUs());
+    out.timing.traceSeconds = trace_phase.stop("trace");
 
     Experiment::Config cfg = point.cfg;
     cfg.pod.numTenants = static_cast<unsigned>(tenants.size());
@@ -200,29 +141,17 @@ runColocationPoint(const ExperimentPoint &point)
     // in-band because cutting those artifacts adds ~0.5-0.7 s of
     // hierarchy-pass builds to setup and ~57 MB of peak RSS at
     // benchmark scale (ROADMAP item 3).
-    span_t0 = tracer ? tracer->nowUs() : 0;
-    t0 = std::chrono::steady_clock::now();
+    const PhaseTimer warm_phase(point);
     if (warm > 0)
         exp.run(warm, 0);
-    out.timing.warmupSeconds = secondsSince(t0);
-    if (tracer)
-        tracer->span("phase", "warmup:" + point.key(), span_t0,
-                     tracer->nowUs());
+    out.timing.warmupSeconds = warm_phase.stop("warmup");
 
-    span_t0 = tracer ? tracer->nowUs() : 0;
-    t0 = std::chrono::steady_clock::now();
+    const PhaseTimer measure_phase(point);
     out.metrics = exp.run(0, measure);
-    out.timing.measureSeconds = secondsSince(t0);
-    if (tracer)
-        tracer->span("phase", "measure:" + point.key(), span_t0,
-                     tracer->nowUs());
+    out.timing.measureSeconds = measure_phase.stop("measure");
 
-    // Telemetry harvest, mirroring runPoint: intervals carry the
-    // per-tenant deltas of every epoch, and the probe summary
-    // lands in the extras.
-    out.intervals = exp.pod().intervals();
-    if (const TelemetryProbe *probe = exp.pod().probe())
-        appendProbeExtras(*probe, out.extra);
+    // Intervals carry the per-tenant deltas of every epoch.
+    harvestTelemetry(exp.pod(), out);
 
     FPC_ASSERT(out.metrics.tenants.size() == tenants.size());
     return out;

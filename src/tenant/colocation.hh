@@ -84,8 +84,9 @@ makeColocationPoint(const std::vector<TenantSpec> &tenants,
                     std::uint64_t base_seed);
 
 /**
- * Run a colocation point: acquire each tenant's arena (or
- * generate fresh streams when no cache is wired), mix them onto
+ * Run a colocation point: open each tenant's trace through
+ * openPointTrace (its shared arena, or a fresh stream when no
+ * cache is wired), mix them onto
  * the pod via TenantMixSource, run in-band warmup + measurement,
  * and return aggregate metrics with RunMetrics::tenants filled.
  */

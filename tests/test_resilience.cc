@@ -19,6 +19,7 @@
 #include "common/fault.hh"
 #include "sim/journal.hh"
 #include "sim/sweep.hh"
+#include "tenant/colocation.hh"
 
 using namespace fpc;
 
@@ -575,6 +576,42 @@ TEST_F(ResilienceTest, FaultHooksReachTraceBuildAndRetry)
     // Metrics (not attempt counts) must match the clean run:
     // strip per-run fields by comparing the failure-free JSON of
     // results with attempts reset.
+    std::vector<PointResult> normalized = out.results;
+    for (PointResult &r : normalized)
+        r.attempts = 1;
+    EXPECT_EQ(renderOne(points, normalized), golden);
+}
+
+TEST_F(ResilienceTest, ColocationTenantTraceBuildIsRetried)
+{
+    // The transient rule hits the arena of a mix's second tenant,
+    // which a colocation point acquires beyond its own trace: the
+    // first point to build it retries once, and every metric
+    // matches a clean run.
+    std::vector<ExperimentPoint> points;
+    for (const char *design : {"baseline", "footprint"}) {
+        points.push_back(makeColocationPoint(
+            {{WorkloadKind::WebSearch, 8, 0.0},
+             {WorkloadKind::DataServing, 8, 0.0}},
+            design, "shared", 0.01, 42));
+    }
+    SweepRunner clean(1);
+    const std::string golden =
+        renderOne(points, clean.run(points));
+
+    ASSERT_TRUE(FaultInjector::instance().configure(
+        "trace-build@DataServing:transient:1"));
+    SweepRunner faulted(1);
+    ResilienceOptions res;
+    res.retries = 2;
+    res.backoffMs = 1;
+    const SweepOutcome out = faulted.runResilient(points, res);
+    FaultInjector::instance().reset();
+
+    EXPECT_EQ(out.failed, 0u);
+    EXPECT_EQ(faulted.lastCacheStats().buildFailures, 1u);
+    EXPECT_EQ(out.results[0].attempts, 2u);
+    EXPECT_EQ(out.results[1].attempts, 1u);
     std::vector<PointResult> normalized = out.results;
     for (PointResult &r : normalized)
         r.attempts = 1;

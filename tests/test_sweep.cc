@@ -10,6 +10,8 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "experiments/experiments.hh"
 #include "sim/registry.hh"
@@ -371,6 +373,99 @@ TEST(SweepRunner, RejectsDuplicateKeys)
                  std::runtime_error);
 }
 
+TEST(SweepCli, ParseCommonFlagValidatesValues)
+{
+    struct Row
+    {
+        std::vector<std::string> args;
+        bool ok;
+    };
+    const std::uint64_t u64_max = ~std::uint64_t{0};
+    const std::vector<Row> rows = {
+        {{"--quick"}, true},
+        {{"--scale", "0.05"}, true},
+        {{"--scale", "1e-3"}, true},
+        {{"--scale", "abc"}, false},
+        {{"--scale", "0"}, false},
+        {{"--scale", "-0.5"}, false},
+        {{"--scale", "1e-9x"}, false},
+        {{"--scale", "inf"}, false},
+        {{"--scale", "nan"}, false},
+        {{"--scale", ""}, false},
+        {{"--scale"}, false},
+        {{"--seed", "7"}, true},
+        {{"--base-seed", std::to_string(u64_max)}, true},
+        {{"--seed", "18446744073709551616"}, false},
+        {{"--seed", "-1"}, false},
+        {{"--seed", "12x"}, false},
+        {{"--jobs", "4"}, true},
+        {{"--jobs", "0"}, true},
+        {{"--jobs", "-2"}, false},
+        {{"--jobs", "4294967296"}, false},
+        {{"--jobs", " 4"}, false},
+        {{"--trace-cache-mb", "512"}, true},
+        {{"--trace-cache-mb", std::to_string(u64_max >> 20)}, true},
+        {{"--trace-cache-mb", std::to_string((u64_max >> 20) + 1)},
+         false},
+        {{"--retries", "3"}, true},
+        {{"--retries", "three"}, false},
+        {{"--backoff-ms", "+5"}, false},
+        {{"--point-deadline-s", "0"}, true},
+        {{"--point-deadline-s", "2.5"}, true},
+        {{"--point-deadline-s", "-1"}, false},
+        {{"--interval-records", "1000"}, true},
+        {{"--interval-records", "1e3"}, false},
+        {{"--miss-attribution", "64"}, true},
+        {{"--miss-attribution", "0x40"}, false},
+        {{"--sample-intervals", "8"}, true},
+        {{"--sample-intervals", "-8"}, false},
+        {{"--sample-interval-records", "5000"}, true},
+        {{"--sample-target-ci", "0.02"}, true},
+        {{"--sample-target-ci", "-0.02"}, false},
+        {{"--workload", "WebSearch"}, true},
+        {{"--journal", "dir"}, true},
+        {{"--no-such-flag"}, false},
+    };
+    for (const Row &row : rows) {
+        std::vector<std::string> args = {"prog"};
+        args.insert(args.end(), row.args.begin(), row.args.end());
+        std::vector<char *> argv;
+        for (std::string &a : args)
+            argv.push_back(a.data());
+        SweepOptions opts;
+        const SweepOptions defaults;
+        int i = 1;
+        const bool ok = parseCommonFlag(
+            opts, static_cast<int>(argv.size()), argv.data(), i);
+        const std::string what = ::testing::PrintToString(row.args);
+        EXPECT_EQ(ok, row.ok) << what;
+        // Accepted: i lands on the flag's last token. Rejected:
+        // i and every option stay put, and no mode is implied.
+        EXPECT_EQ(i, ok ? static_cast<int>(args.size()) - 1 : 1)
+            << what;
+        if (!ok) {
+            EXPECT_EQ(opts.scale, defaults.scale) << what;
+            EXPECT_EQ(opts.seed, defaults.seed) << what;
+            EXPECT_EQ(opts.jobs, defaults.jobs) << what;
+            EXPECT_EQ(opts.sampleMode, defaults.sampleMode) << what;
+        }
+    }
+
+    // Values land in their fields.
+    SweepOptions opts;
+    std::vector<std::string> args = {"prog", "--scale", "0.25",
+                                     "--sample-target-ci", "0.05"};
+    std::vector<char *> argv;
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    for (int i = 1; i < static_cast<int>(argv.size()); ++i)
+        ASSERT_TRUE(parseCommonFlag(
+            opts, static_cast<int>(argv.size()), argv.data(), i));
+    EXPECT_EQ(opts.scale, 0.25);
+    EXPECT_EQ(opts.sampleTargetCi, 0.05);
+    EXPECT_TRUE(opts.sampleMode);
+}
+
 TEST(Registry, AllPaperExperimentsRegistered)
 {
     ExperimentRegistry reg;
@@ -385,6 +480,12 @@ TEST(Registry, AllPaperExperimentsRegistered)
     EXPECT_EQ(reg.names(), expected);
     for (const std::string &name : expected)
         EXPECT_NE(reg.find(name), nullptr) << name;
+    // `sweep --filter NAME` matches substrings; it selects exactly
+    // one experiment only while no name is a substring of another.
+    for (const std::string &a : reg.names())
+        for (const std::string &b : reg.names())
+            EXPECT_TRUE(a == b || b.find(a) == std::string::npos)
+                << a << " selects " << b;
 }
 
 TEST(Registry, RejectsDuplicateNames)
