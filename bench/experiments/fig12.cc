@@ -15,7 +15,6 @@
 #include "experiments/experiments.hh"
 #include "sim/pod_system.hh"
 #include "workload/analysis.hh"
-#include "workload/generator.hh"
 
 namespace fpcbench {
 
@@ -30,22 +29,27 @@ const double kFractions[] = {0.2, 0.4, 0.6, 0.8};
 PointResult
 runHotPages(const ExperimentPoint &point)
 {
-    WorkloadSpec spec =
-        makeWorkload(point.workload, 2048, point.traceSeed());
-    SyntheticTraceSource trace(spec);
+    PointResult out;
+    const auto records =
+        static_cast<std::uint64_t>(12e6 * point.scale);
+    // The point's trace identity is its workload's standard one,
+    // so the shared arena (planned by the runner like any point's)
+    // serves it and is released after its last use.
+    const PhaseTimer trace_phase(point);
+    const std::unique_ptr<TraceSource> trace = openPointTrace(
+        point, point.workload, records, out.timing);
+    out.timing.traceSeconds = trace_phase.stop("trace");
+
     AccessCountingMemory mem(4096);
     DramSystem off(DramSystem::Config::offchipPod());
     PodConfig pod_cfg;
     // The bespoke pod still honors the sweep's telemetry flags:
     // every quick-grid point must conserve interval sums.
     pod_cfg.telemetry = point.cfg.pod.telemetry;
-    PodSystem pod(pod_cfg, trace, mem, nullptr, off);
-    PointResult out;
-    // The whole bespoke run is its measured window: one phase
-    // span keeps the fig12 lane consistent with standard points.
+    PodSystem pod(pod_cfg, *trace, mem, nullptr, off);
+    // The whole bespoke run is its measured window.
     const PhaseTimer measure_phase(point);
-    out.metrics = pod.run(
-        0, static_cast<std::uint64_t>(12e6 * point.scale));
+    out.metrics = pod.run(0, records);
     out.timing.measureSeconds = measure_phase.stop("measure");
     harvestTelemetry(pod, out);
     for (double f : kFractions) {
@@ -80,6 +84,7 @@ registerFig12(ExperimentRegistry &reg)
             p.label = std::string(workloadName(wk)) +
                       "/hotpages/4096B";
             p.custom = runHotPages;
+            p.inBandWarmup = true;
             points.push_back(std::move(p));
         }
         return points;

@@ -496,7 +496,7 @@ struct ExperimentPoint
     /**
      * Additional trace identities a custom run function will
      * acquire beyond the point's own traceKey() — e.g. the other
-     * tenants of a colocation mix — as (cache key, records)
+     * tenants of a colocation mix — as (traceArenaKey, records)
      * pairs. The SweepRunner plans them so shared arenas are
      * sized and released correctly.
      */
@@ -504,12 +504,12 @@ struct ExperimentPoint
         extraTraceNeeds;
 
     /**
-     * This point warms in-band and never acquires a shared
-     * WarmupArtifact (colocation mixes: the post-L2 stream is
-     * not design-independent). Stops the runner from planning a
-     * warmup use that would never be drained — an undrained plan
-     * pins the shared artifact in the cache budget for the whole
-     * sweep.
+     * This point never acquires a shared WarmupArtifact: it warms
+     * in-band (colocation mixes: the post-L2 stream is not
+     * design-independent) or not at all (fig12's hot-page count).
+     * Stops the runner from planning a warmup use that would
+     * never be drained — an undrained plan pins the shared
+     * artifact in the cache budget for the whole sweep.
      */
     bool inBandWarmup = false;
 

@@ -86,9 +86,9 @@ makeColocationPoint(const std::vector<TenantSpec> &tenants,
 /**
  * Run a colocation point: open each tenant's trace through
  * openPointTrace (its shared arena, or a fresh stream when no
- * cache is wired), mix them onto
- * the pod via TenantMixSource, run in-band warmup + measurement,
- * and return aggregate metrics with RunMetrics::tenants filled.
+ * cache is wired), mix them onto the pod via TenantMixSource,
+ * run in-band warmup + measurement, and return aggregate
+ * metrics with RunMetrics::tenants filled.
  */
 PointResult runColocationPoint(const ExperimentPoint &point);
 
